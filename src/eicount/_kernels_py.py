@@ -7,6 +7,8 @@ kernels cap hosts at 63 vertices and raise, triggering this fallback).
 
 from __future__ import annotations
 
+from .config import CapExceeded, cap
+
 MODE_HOM = 0
 MODE_EMB = 1
 MODE_EDGINJ = 2
@@ -89,38 +91,74 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, dist, weights=None):
     return total
 
 
-def count_perfect_matchings(n, adj):
-    """Exact perfect-matching count by branching on a minimum-degree vertex.
-    adj: per-vertex neighbor bitmasks."""
-    if n % 2:
-        return 0
-    full = (1 << n) - 1
+def _pm_branches(alive, adj):
+    """Submasks whose perfect-matching counts sum to that of ``alive``.
 
-    def rec(alive):
-        if not alive:
-            return 1
-        # min-degree alive vertex
-        best, bestdeg = -1, n + 1
+    Vertices of degree one are matched to their only neighbour in a loop;
+    then a minimum-degree vertex is matched to each of its neighbours in
+    turn.  [] means some vertex has no partner left, [0] means every vertex
+    was matched by force.
+    """
+    while alive:
+        best, bestdeg = -1, len(adj)
         rest = alive
         while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
             d = (adj[v] & alive).bit_count()
             if d < bestdeg:
                 best, bestdeg = v, d
                 if d <= 1:
                     break
         if bestdeg == 0:
-            return 0
-        total = 0
+            return []
         nbrs = adj[best] & alive
+        alive ^= 1 << best
+        if bestdeg == 1:
+            alive ^= nbrs
+            continue
+        out = []
         while nbrs:
-            u = (nbrs & -nbrs).bit_length() - 1
-            nbrs &= nbrs - 1
-            total += rec(alive & ~(1 << best) & ~(1 << u))
-        return total
+            low = nbrs & -nbrs
+            nbrs ^= low
+            out.append(alive ^ low)
+        return out
+    return [0]
 
-    return rec(full)
+
+def count_perfect_matchings(n, adj):
+    """Exact perfect-matching count by branching on a minimum-degree vertex,
+    memoised on the unmatched-vertex set.
+
+    adj: per-vertex neighbor bitmasks.  The memo maps each unmatched-vertex
+    bitmask reached to its count (0 for dead ends); it is bounded by
+    ``PERFMATCH_CAP`` entries, past which :class:`CapExceeded` is raised.
+    The search keeps its own stack, so its depth is not limited by Python's
+    recursion limit.
+    """
+    if n % 2:
+        return 0
+    limit = cap("PERFMATCH_CAP")
+    full = (1 << n) - 1
+    memo = {0: 1}
+    stack = [(full, None)]
+    while stack:
+        alive, branches = stack.pop()
+        if branches is None:
+            if alive in memo:
+                continue
+            branches = _pm_branches(alive, adj)
+        pending = [b for b in branches if b not in memo]
+        if pending:
+            stack.append((alive, branches))
+            stack.extend((b, None) for b in pending)
+            continue
+        memo[alive] = sum(memo[b] for b in branches)
+        if len(memo) > limit:
+            raise CapExceeded(
+                f"PERFMATCH_CAP: {len(memo)} matching states exceed cap {limit}")
+    return memo[full]
 
 
 def count_odd_edge_sets(n, eu, ev, by_cardinality=False):

@@ -1,9 +1,10 @@
 """Enumeration caps for the brute-force oracles.
 
-All oracles are exact but exponential; the caps below bound their inputs so
-that exceeding a cap raises :class:`CapExceeded` instead of silently running
-forever.  Every cap can be overridden through an environment variable
-``EICOUNT_<NAME>`` holding an integer, e.g. ``EICOUNT_PATTERN_CAP=10``.
+All oracles are exact but exponential; the caps below bound their inputs or
+the work they do, so that exceeding a cap raises :class:`CapExceeded`
+instead of silently running forever.  Every cap can be overridden through
+an environment variable ``EICOUNT_<NAME>`` holding an integer, e.g.
+``EICOUNT_PATTERN_CAP=10``.
 """
 
 import os
@@ -15,8 +16,10 @@ _DEFAULTS = {
     "EDGE_SUBSET_CAP": 24,
     # max |V(G)| for exhaustive vertex-cover search
     "VERTEX_COVER_CAP": 24,
-    # max |V(G)| for the recursive perfect-matching counter
-    "PERFMATCH_CAP": 128,
+    # max memoised states (unmatched-vertex sets reached, dead ends included)
+    # of the perfect-matching counter; 10^6 states take about 10 s and
+    # 100 MB, while the 162-vertex collar encoding of the prism needs 1,700
+    "PERFMATCH_CAP": 10**6,
     # max estimated search volume for homomorphism-type enumeration; patterns
     # larger than PATTERN_CAP (long cycles/paths, wedge unions) are still
     # admitted when the pruned search tree fits this budget

@@ -232,9 +232,9 @@ def count_wedge_packings(g: Graph, j: int) -> int:
 
 
 def count_perfect_matchings(g: Graph) -> int:
-    """Exact perfect-matching count via recursive branching on a
-    minimum-degree vertex."""
-    check_cap("PERFMATCH_CAP", g.n)
+    """Exact perfect-matching count by branching on a minimum-degree vertex,
+    memoised on the unmatched-vertex set; ``PERFMATCH_CAP`` bounds the
+    number of memoised states."""
     if g.n % 2:
         return 0
     masks = [0] * g.n

@@ -16,7 +16,7 @@ from math import factorial
 
 from .exact import (Polynomial, falling_factorial, interpolate,
                     recover_unknowns, required_inputs)
-from .graphs import Graph, edge, make_pattern
+from .graphs import Graph, edge, line_graph, make_pattern
 from .oracles import (count_edginj, count_edginj_weighted, count_matchings,
                       matchings_profile)
 
@@ -123,20 +123,24 @@ def wedge_alpha_oracle(g: Graph, left, k: int):
     return {(gd, b): c for (t, gd, b), c in cls.items() if t == 0}
 
 
-def wedge_packings_in_hub(g0: Graph, r: int, j: int) -> int:
-    """#EdgInj(j*P2, G^r) without building G^r: the r pendant special edges
-    at the hub are interchangeable, so wedges decompose into core wedges,
-    core-pendant wedges and pendant-pendant wedges.  Matchings of the core
-    line graph are enumerated once; the pendant part is closed-form.
+def _hub_profile(g0: Graph):
+    """Matchings of the line graph of ``g0`` tallied by (size, #hub edges
+    covered), together with the hub degree; everything
+    :func:`_packings_from_profile` needs for any (r, j).
 
     ``g0`` must be the hub graph with r = 0 (meta carries the hub id).
     """
-    from .graphs import line_graph
     hub = g0.meta.get("hub", 0)
-    lg = line_graph(g0)
     hub_edge_vertices = [i for i, e in enumerate(g0.edges) if hub in e]
-    profile = matchings_profile(lg, special=hub_edge_vertices)
-    n_hub = len(hub_edge_vertices)
+    profile = matchings_profile(line_graph(g0), special=hub_edge_vertices)
+    return profile, len(hub_edge_vertices)
+
+
+def _packings_from_profile(profile, n_hub: int, r: int, j: int) -> int:
+    """#EdgInj(j*P2, G^r) from the hub profile of G^0: the r pendant special
+    edges at the hub are interchangeable, so wedges decompose into core
+    wedges (core matchings, from the profile), core-pendant wedges and
+    pendant-pendant wedges (closed form)."""
     total = 0
     for (a, used_s), cnt in profile.items():
         if a > j:
@@ -153,6 +157,16 @@ def wedge_packings_in_hub(g0: Graph, r: int, j: int) -> int:
             ways *= _ff(r, b + 2 * c) // (2 ** c * factorial(c))
             total += ways
     return 2 ** j * factorial(j) * total
+
+
+def wedge_packings_in_hub(g0: Graph, r: int, j: int) -> int:
+    """#EdgInj(j*P2, G^r) without building G^r.  Matchings of the core line
+    graph are enumerated once per call; :func:`count_matchings_via_wedges`
+    enumerates them once for all its (r, j).
+
+    ``g0`` must be the hub graph with r = 0 (meta carries the hub id).
+    """
+    return _packings_from_profile(*_hub_profile(g0), r, j)
 
 
 def _binom(n, k):
@@ -183,9 +197,11 @@ def count_matchings_via_wedges(g: Graph, left, k: int) -> int:
     g0 = build_Gr(g, left, 0)
     n_left = len(left)
     rmax = required_inputs(k)
+    profile, n_hub = _hub_profile(g0)
     polys = []
     for j in range(rmax + 1):
-        pts = [(r, wedge_packings_in_hub(g0, r, j)) for r in range(2 * j + 1)]
+        pts = [(r, _packings_from_profile(profile, n_hub, r, j))
+               for r in range(2 * j + 1)]
         beta_j = interpolate(pts)
         polys.append(beta_j.compose(Polynomial.x() - n_left))
     a = recover_unknowns(k, polys)
@@ -480,10 +496,10 @@ def ec_cycles_via_paths(g: Graph, k: int, path_len: int | None = None) -> int:
     edge-injective probe-path maps: two endpoint orders times two traversal
     directions around the cycle, hence the division by four.  For k >= 6 a
     cycle may visit the probed vertex twice and would be overcounted, so
-    results are only trusted on the validated range k <= 5.
+    k is restricted to 3 <= k <= 5 and anything else raises ValueError.
     """
-    if k < 3:
-        raise ValueError("k must be >= 3")
+    if not 3 <= k <= 5:
+        raise ValueError("ec-cycles via paths needs 3 <= k <= 5")
     if path_len is None:
         path_len = k + 2
     pat = make_pattern("P", path_len)

@@ -68,6 +68,12 @@ class TestCount:
                                    "--algo", algo)
             assert code == 0 and out.strip() == "4"
 
+    def test_ec_cycles_paths_rejects_k6(self, capsys):
+        code, out, err = run_cli(capsys, "count", "ec-cycles",
+                                 "--host", "builtin:K,5", "--k", "6",
+                                 "--algo", "pipeline:paths")
+        assert code == 2 and out == "" and "3 <= k <= 5" in err
+
     def test_cap_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "count", "hom",
                                "--pattern", "builtin:K,12",

@@ -157,6 +157,10 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_graph("v 2\ne 0 1\ne 1 0")
 
+    def test_duplicate_edge_reports_line(self):
+        with pytest.raises(ValueError, match=r"^line 5: duplicate edge \(0, 2\)$"):
+            parse_graph("v 3\ne 0 1\n# note\ne 0 2\ne 2 0\n")
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             parse_graph("v 2\ne 0 5")

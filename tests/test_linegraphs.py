@@ -174,6 +174,11 @@ class TestPipeline:
         assert perfmatch_via_line_reduction(PRISM, 2) == \
             O.count_perfect_matchings(PRISM)
 
+    def test_prism_ell4(self):
+        # the 162-vertex collar encoding of the prism
+        assert perfmatch_via_line_reduction(PRISM, 4) == \
+            O.count_perfect_matchings(PRISM)
+
     def test_overflow_reported(self):
         with pytest.raises(DigitOverflowError):
             perfmatch_via_line_reduction(K4, 1)

@@ -153,6 +153,42 @@ class TestPerfectMatchings:
         stripped = c.remove_vertices([c.meta["u"], c.meta["v"]])
         assert O.count_perfect_matchings(stripped) == 9
 
+    def test_matches_matching_count(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            n = rng.randrange(0, 13)
+            g = rand_graph(rng, n, rng.random())
+            want = O.count_matchings(g, n // 2) if n % 2 == 0 else 0
+            assert O.count_perfect_matchings(g) == want
+
+    def test_disjoint_union_past_63_vertices(self):
+        # the count of a disjoint union is the product of the parts' counts
+        rng = random.Random(12)
+        for _ in range(4):
+            edges, off, want = [], 0, 1
+            for _ in range(16):
+                p = rand_graph(rng, 2 * rng.randrange(2, 6), 0.5)
+                # plant a perfect matching so that no factor is zero
+                p = Graph(p.n, set(p.edges) | {(i, i + 1)
+                                               for i in range(0, p.n, 2)})
+                edges += [(u + off, v + off) for u, v in p.edges]
+                off += p.n
+                want *= O.count_perfect_matchings(p)
+            assert off > 63 and want > 1
+            assert O.count_perfect_matchings(Graph(off, edges)) == want
+
+    def test_cap_bounds_memo_states(self, monkeypatch):
+        k8 = make_pattern("K", 8)
+        assert O.count_perfect_matchings(k8) == 105
+        monkeypatch.setenv("EICOUNT_PERFMATCH_CAP", "5")
+        with pytest.raises(CapExceeded):
+            O.count_perfect_matchings(k8)
+
+    def test_long_sparse_hosts_do_not_recurse(self):
+        # 3,000 vertices: far deeper than Python's recursion limit
+        assert O.count_perfect_matchings(make_pattern("P", 2999)) == 1
+        assert O.count_perfect_matchings(make_pattern("C", 3000)) == 2
+
 
 class TestOddEdgeSets:
     def test_k4(self):

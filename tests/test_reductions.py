@@ -253,6 +253,14 @@ class TestEcPaths:
         assert ec_cycles_via_paths(make_pattern("C", 5), 5) == 1
         assert ec_cycles_via_paths(make_pattern("C", 5), 3) == 0
 
+    def test_k_outside_validated_range_rejected(self):
+        # on K5 the probe assembly gives 36 instead of 30 for k = 6
+        k5 = make_pattern("K", 5)
+        assert O.count_edge_disjoint(k5, 6, "cycle") == 30
+        for k in (2, 6, 7):
+            with pytest.raises(ValueError):
+                ec_cycles_via_paths(k5, k)
+
     def test_random_corpus(self):
         rng = random.Random(1)
         for _ in range(12):
