@@ -25,8 +25,45 @@ from . import eihom, holant, linegraphs, oracles, reductions, verify
 from .config import CapExceeded
 from .graphs import Graph, make_pattern, parse_graph, serialize_graph
 
-QUANTITIES = ("hom", "emb", "edginj", "wedginj", "matchings", "colmatch",
-              "perfmatch", "odd-edge-sets", "ec-cycles", "ec-paths")
+# quantity -> {algo: count(pattern, host, args)}; the functions are looked up
+# at call time, so a patched module attribute is what runs.
+ROUTES = {
+    "hom": {"oracle": lambda p, h, a: oracles.count_hom(p, h)},
+    "emb": {"oracle": lambda p, h, a: oracles.count_emb(p, h),
+            "poly": lambda p, h, a: eihom.count_emb_small_vc(p, h)},
+    "edginj": {"oracle": lambda p, h, a: oracles.count_edginj(p, h),
+               "poly": lambda p, h, a: eihom.count_edginj_poly(p, h, bound=a.bound)},
+    "wedginj": {"oracle": lambda p, h, a: oracles.count_edginj_weighted(p, h)},
+    "matchings": {
+        "oracle": lambda p, h, a: oracles.count_matchings(h, a.k),
+        "pipeline:wedges": lambda p, h, a: reductions.count_matchings_via_wedges(
+            h, _pick_left(h), a.k),
+        "pipeline:apex": lambda p, h, a: reductions.count_matchings_via_apex(
+            h, _bipartition(h)[0], a.k),
+        "pipeline:star": lambda p, h, a: reductions.count_matchings_via_star(
+            h, _pick_left(h), a.k)},
+    "colmatch": {
+        "oracle": lambda p, h, a: oracles.count_matchings(h, h.k, colorful=True),
+        "pipeline:subdiv": lambda p, h, a: holant.colmatch_via_subdivision(h),
+        "pipeline:uncolored": lambda p, h, a: holant.colmatch_via_uncolored(h)},
+    "perfmatch": {
+        "oracle": lambda p, h, a: oracles.count_perfect_matchings(h),
+        "poly": lambda p, h, a: linegraphs.count_perfmatch_3regular_line(h),
+        "pipeline:line": lambda p, h, a: linegraphs.perfmatch_via_line_reduction(h, a.ell)},
+    "odd-edge-sets": {
+        "oracle": lambda p, h, a: oracles.count_odd_edge_sets_enum(h),
+        "poly": lambda p, h, a: linegraphs.count_odd_edge_sets(h)},
+    "ec-cycles": {
+        "oracle": lambda p, h, a: oracles.count_edge_disjoint(h, a.k, "cycle"),
+        "pipeline:paths": lambda p, h, a: reductions.ec_cycles_via_paths(h, a.k)},
+    "ec-paths": {"oracle": lambda p, h, a: oracles.count_edge_disjoint(h, a.k, "path")},
+}
+QUANTITIES = tuple(ROUTES)
+
+# the inputs each quantity requires, in the order they are checked
+NEEDS = {q: ("--pattern", "--host") for q in ("hom", "emb", "edginj", "wedginj")}
+NEEDS.update({q: ("--host", "--k") for q in ("matchings", "ec-cycles", "ec-paths")})
+NEEDS.update({q: ("--host",) for q in ("colmatch", "perfmatch", "odd-edge-sets")})
 
 
 def _load_graph(spec: str) -> Graph:
@@ -74,80 +111,19 @@ def _pick_left(g: Graph):
 def _run_count(args) -> int:
     q = args.quantity
     algo = args.algo
+    routes = ROUTES[q]
+    if algo not in routes:
+        raise SystemExit2(f"unknown algo {algo!r} for {q}; "
+                          f"choose from {', '.join(routes)}")
     host = _load_graph(args.host) if args.host else None
     pattern = _load_graph(args.pattern) if args.pattern else None
-
-    def need(flag, what):
-        if flag is None:
-            raise SystemExit2(f"count {q} requires {what}")
-
-    if q in ("hom", "emb", "edginj", "wedginj"):
-        need(pattern, "--pattern")
-        need(host, "--host")
-        if q == "hom":
-            value = oracles.count_hom(pattern, host)
-        elif q == "emb":
-            value = (oracles.count_emb(pattern, host) if algo == "oracle"
-                     else eihom.count_emb_small_vc(pattern, host))
-        elif q == "edginj":
-            value = (oracles.count_edginj(pattern, host) if algo == "oracle"
-                     else eihom.count_edginj_poly(pattern, host, bound=args.bound))
-        else:
-            value = oracles.count_edginj_weighted(pattern, host)
-    elif q == "matchings":
-        need(host, "--host")
-        need(args.k, "--k")
-        if algo == "oracle":
-            value = oracles.count_matchings(host, args.k)
-        elif algo == "pipeline:wedges":
-            value = reductions.count_matchings_via_wedges(host, _pick_left(host), args.k)
-        elif algo == "pipeline:apex":
-            value = reductions.count_matchings_via_apex(host, _bipartition(host)[0], args.k)
-        elif algo == "pipeline:star":
-            value = reductions.count_matchings_via_star(host, _pick_left(host), args.k)
-        else:
-            raise SystemExit2(f"unknown algo {algo!r} for matchings")
-    elif q == "colmatch":
-        need(host, "--host")
-        if host.color is None:
-            raise SystemExit2("colmatch needs an edge-colored host")
-        if algo == "oracle":
-            value = oracles.count_matchings(host, host.k, colorful=True)
-        elif algo == "pipeline:subdiv":
-            value = holant.colmatch_via_subdivision(host)
-        elif algo == "pipeline:uncolored":
-            value = holant.colmatch_via_uncolored(host)
-        else:
-            raise SystemExit2(f"unknown algo {algo!r} for colmatch")
-    elif q == "perfmatch":
-        need(host, "--host")
-        if algo == "oracle":
-            value = oracles.count_perfect_matchings(host)
-        elif algo == "poly":
-            value = linegraphs.count_perfmatch_3regular_line(host)
-        elif algo == "pipeline:line":
-            value = linegraphs.perfmatch_via_line_reduction(host, args.ell)
-        else:
-            raise SystemExit2(f"unknown algo {algo!r} for perfmatch")
-    elif q == "odd-edge-sets":
-        need(host, "--host")
-        value = (oracles.count_odd_edge_sets_enum(host) if algo == "oracle"
-                 else linegraphs.count_odd_edge_sets(host))
-    elif q == "ec-cycles":
-        need(host, "--host")
-        need(args.k, "--k")
-        if algo == "oracle":
-            value = oracles.count_edge_disjoint(host, args.k, "cycle")
-        elif algo == "pipeline:paths":
-            value = reductions.ec_cycles_via_paths(host, args.k)
-        else:
-            raise SystemExit2(f"unknown algo {algo!r} for ec-cycles")
-    elif q == "ec-paths":
-        need(host, "--host")
-        need(args.k, "--k")
-        value = oracles.count_edge_disjoint(host, args.k, "path")
-    else:
-        raise SystemExit2(f"unknown quantity {q!r}")
+    given = {"--pattern": pattern, "--host": host, "--k": args.k}
+    for flag in NEEDS[q]:
+        if given[flag] is None:
+            raise SystemExit2(f"count {q} requires {flag}")
+    if q == "colmatch" and host.color is None:
+        raise SystemExit2("colmatch needs an edge-colored host")
+    value = routes[algo](pattern, host, args)
 
     if args.format == "json":
         params = {"k": args.k, "pattern": args.pattern, "host": args.host,

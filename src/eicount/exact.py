@@ -279,26 +279,29 @@ def gf2_solution_count(rows, rhs, ncols: int) -> int:
     ``rows`` are bitmask-packed coefficient rows over ``ncols`` variables,
     ``rhs`` the right-hand-side bits.  Returns 0 when inconsistent and
     2^(ncols - rank) otherwise.
+
+    Pivots are keyed by their leading column, so a row is reduced only by
+    the pivot at its current top bit, until it vanishes or has a new leading
+    column: each row costs the XORs it needs, not a test per earlier pivot.
     """
     rows = [int(r) for r in rows]
     rhs = [int(b) & 1 for b in rhs]
     if len(rows) != len(rhs):
         raise ValueError("rhs length mismatch")
-    pivots = []  # (column, row, rhs-bit)
-    rank = 0
+    pivots = {}  # leading column -> (row, rhs bit)
     for r, b in zip(rows, rhs):
-        for col, prow, pb in pivots:
-            if (r >> col) & 1:
-                r ^= prow
-                b ^= pb
-        if r == 0:
+        while r:
+            col = r.bit_length() - 1
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = (r, b)
+                break
+            r ^= pivot[0]
+            b ^= pivot[1]
+        else:
             if b:
                 return 0
-            continue
-        col = r.bit_length() - 1
-        pivots.append((col, r, b))
-        rank += 1
-    return 2 ** (ncols - rank)
+    return 2 ** (ncols - len(pivots))
 
 
 def multinomial(n: int, parts) -> int:

@@ -27,9 +27,21 @@ class DecompositionError(Exception):
 
 def decompose_3regular_line(g: Graph):
     """Split a 3-regular line graph into (matching M, triangle list T,
-    contracted graph).  Triangles are removed greedily from the lowest
-    uncovered vertex; the decomposition is unique because every triangle of
-    the graph belongs to the packing, which is re-verified here.
+    contracted graph).
+
+    Triangles are removed greedily from the lowest uncovered vertex.  Once
+    the packing covers every vertex, no further check is needed:
+
+    * each vertex lies in exactly one packed triangle, which gives it two
+      triangle edges; being 3-regular, it has exactly one leftover edge, so
+      the leftover edges form a perfect matching;
+    * every triangle xyz of g is packed: otherwise one of its edges, say xy,
+      is a leftover (matching) edge, so z is a triangle-mate of both x and
+      y, i.e. z lies in T(x) and in T(y) for the packed triangle T(v)
+      containing v.  Then T(x) = T(y) and xy is a triangle edge after all.
+
+    Hence the decomposition is unique, and the split takes one pass over the
+    vertices and one over the edges.
     """
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise DecompositionError("graph is not 3-regular")
@@ -55,18 +67,6 @@ def decompose_3regular_line(g: Graph):
     for a, b, c in triangles:
         tri_edges |= {edge(a, b), edge(a, c), edge(b, c)}
     matching = [e for e in g.edges if e not in tri_edges]
-    seen = set()
-    for u, v in matching:
-        if u in seen or v in seen:
-            raise DecompositionError("leftover edges do not form a matching")
-        seen |= {u, v}
-    if len(seen) != g.n:
-        raise DecompositionError("leftover matching is not perfect")
-    # every triangle of g must be one of the packed ones
-    for a, b, c in itertools.combinations(range(g.n), 3):
-        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
-            if tuple(sorted((a, b, c))) not in {tuple(sorted(t)) for t in triangles}:
-                raise DecompositionError("a triangle survives outside the packing")
     tri_of = [None] * g.n
     for i, t in enumerate(triangles):
         for u in t:
@@ -81,7 +81,8 @@ def decompose_3regular_line(g: Graph):
 
 def count_odd_edge_sets(g: Graph) -> int:
     """Edge subsets with every vertex degree odd, counted via the GF(2)
-    solution space of the incidence system Bx = 1."""
+    solution space of the incidence system Bx = 1.  The elimination reduces
+    each vertex row only by the pivots whose leading column it hits."""
     rows = [0] * g.n
     for i, (u, v) in enumerate(g.edges):
         rows[u] |= 1 << i

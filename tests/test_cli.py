@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from eicount.cli import main
+from eicount.cli import ROUTES, main
 from eicount.graphs import parse_graph, serialize_graph
 
 
@@ -85,6 +85,49 @@ class TestCount:
                                "--host", "builtin:C,6", "--k", "2",
                                "--algo", "pipeline:bogus")
         assert code == 2
+
+    # inputs per quantity on which every route applies
+    ROUTE_INPUTS = {
+        "hom": ["--pattern", "builtin:P,2", "--host", "builtin:K,4"],
+        "emb": ["--pattern", "builtin:P,2", "--host", "builtin:K,4"],
+        "edginj": ["--pattern", "builtin:kP2,2", "--host", "builtin:K,4"],
+        "wedginj": ["--pattern", "builtin:P,2", "--host", "K3w.g"],
+        "matchings": ["--host", "builtin:C,6", "--k", "2"],
+        "colmatch": ["--host", "C4.g"],
+        "perfmatch": ["--host", "builtin:K,4"],
+        "odd-edge-sets": ["--host", "builtin:K,4"],
+        "ec-cycles": ["--host", "builtin:K,4", "--k", "3"],
+        "ec-paths": ["--host", "builtin:K,4", "--k", "2"],
+    }
+
+    @pytest.mark.parametrize("quantity,algo", [
+        (q, a) for q, routes in ROUTES.items() for a in routes])
+    def test_every_route_agrees_with_oracle(self, capsys, tmp_path, monkeypatch,
+                                            quantity, algo):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "C4.g").write_text(
+            "v 4\ne 0 1 c=1\ne 1 2 c=1\ne 2 3 c=2\ne 0 3 c=2\n")
+        (tmp_path / "K3w.g").write_text("v 3\ne 0 1 w=2\ne 0 2 w=3\ne 1 2 w=1\n")
+        argv = ["count", quantity, *self.ROUTE_INPUTS[quantity]]
+        code, want, _ = run_cli(capsys, *argv)
+        assert code == 0 and int(want) > 0
+        code, got, _ = run_cli(capsys, *argv, "--algo", algo)
+        assert code == 0 and got == want
+
+    @pytest.mark.parametrize("quantity,algo", [
+        ("hom", "pipeline:bogus"), ("emb", "pipeline:line"),
+        ("edginj", "nonsense"), ("wedginj", "poly"),
+        ("matchings", "poly"), ("colmatch", "poly"),
+        ("perfmatch", "pipeline:wedges"), ("odd-edge-sets", "whatever"),
+        ("ec-cycles", "poly"), ("ec-paths", "poly")])
+    def test_inapplicable_algo(self, capsys, quantity, algo):
+        code, out, err = run_cli(capsys, "count", quantity,
+                                 "--pattern", "builtin:P,2",
+                                 "--host", "builtin:K,4", "--k", "2",
+                                 "--algo", algo)
+        assert code == 2 and out == ""
+        assert f"unknown algo {algo!r} for {quantity}" in err
+        assert "oracle" in err
 
 
 class TestGen:

@@ -170,6 +170,28 @@ class TestGF2:
             assert gf2_solution_count(rows, [1] * n, g.m) == \
                 count_odd_edge_sets_enum(g)
 
+    def test_matches_brute_force(self):
+        # random systems with zero rows, duplicate rows and inconsistent
+        # right-hand sides, against trying every assignment
+        rng = random.Random(11)
+        for _ in range(3000):
+            ncols = rng.randrange(0, 9)
+            rows, rhs = [], []
+            for _ in range(rng.randrange(0, 10)):
+                kind = rng.random()
+                if kind < 0.15:
+                    r = 0
+                elif kind < 0.3 and rows:
+                    r = rng.choice(rows)
+                else:
+                    r = rng.getrandbits(ncols)
+                rows.append(r)
+                rhs.append(rng.randrange(2))
+            want = sum(all((r & x).bit_count() % 2 == b
+                           for r, b in zip(rows, rhs))
+                       for x in range(2 ** ncols))
+            assert gf2_solution_count(rows, rhs, ncols) == want, (rows, rhs)
+
 
 class TestMultinomial:
     def test_basic(self):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from eicount import oracles as O
-from eicount.graphs import Graph, line_graph, make_pattern, subdivide
+from eicount.graphs import Graph, edge, line_graph, make_pattern, subdivide
 from eicount.linegraphs import (DecompositionError, DigitOverflowError,
                                 count_odd_edge_sets,
                                 count_perfmatch_3regular_line,
@@ -21,6 +21,35 @@ PETERSEN = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
                       (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)])
 
 CUBIC = [("k4", K4), ("prism", PRISM), ("k33", K33), ("petersen", PETERSEN)]
+
+
+def random_cubic(rng, n):
+    """Connected simple cubic graph on an even n >= 4: a random Hamiltonian
+    cycle plus a random perfect matching that avoids the cycle's edges."""
+    order = list(range(n))
+    rng.shuffle(order)
+    cycle = {edge(order[i], order[(i + 1) % n]) for i in range(n)}
+    while True:
+        rng.shuffle(order)
+        matching = {edge(*order[i:i + 2]) for i in range(0, n, 2)}
+        if not matching & cycle:
+            return Graph(n, cycle | matching)
+
+
+def random_connected(rng, n, m):
+    """Connected graph: a random recursive tree plus random extra edges."""
+    es = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(es) < m:
+        es.add(edge(*rng.sample(range(n), 2)))
+    return Graph(n, es)
+
+
+def odd_edge_sets_closed_form(g):
+    """2^(m - n + c), or 0 when some component has odd order."""
+    comps = g.components()
+    if any(len(c) % 2 for c in comps):
+        return 0
+    return 2 ** (g.m - g.n + len(comps))
 
 
 class TestDecompose:
@@ -51,6 +80,26 @@ class TestDecompose:
             m, t, down = decompose_3regular_line(gp)
             assert O.is_isomorphic(down, g), name
 
+    def test_packing_and_matching_brute_force(self):
+        # every triangle of the host is packed and the leftover edges form a
+        # perfect matching, checked over all vertex triples
+        rng = random.Random(7)
+        hosts = []
+        for _ in range(12):
+            g = random_cubic(rng, rng.choice((4, 6, 8, 10)))
+            hosts += [triangle_expand(g), line_graph(subdivide(g, 1))]
+        for host in hosts:
+            matching, triangles, down = decompose_3regular_line(host)
+            packed = {frozenset(t) for t in triangles}
+            for tri in itertools.combinations(range(host.n), 3):
+                if all(host.has_edge(a, b)
+                       for a, b in itertools.combinations(tri, 2)):
+                    assert frozenset(tri) in packed
+            ends = sorted(v for e in matching for v in e)
+            assert ends == list(range(host.n))
+            assert len(packed) == len(triangles) == down.n == host.n // 3
+            assert down.m == len(matching)
+
 
 class TestOddEdgeSets:
     def test_k4(self):
@@ -73,6 +122,16 @@ class TestOddEdgeSets:
                 continue
             assert count_odd_edge_sets(g) == O.count_odd_edge_sets_enum(g)
 
+    @pytest.mark.parametrize("n,m", [(1400, 5600), (5600, 22400)])
+    def test_large_connected_closed_form(self, n, m):
+        g = random_connected(random.Random(m), n, m)
+        assert count_odd_edge_sets(g) == odd_edge_sets_closed_form(g)
+
+    def test_large_with_odd_component(self):
+        g = random_connected(random.Random(2), 1400, 5600)
+        es = list(g.edges) + [(1400, 1401), (1400, 1402), (1401, 1402)]
+        assert count_odd_edge_sets(Graph(1403, es)) == 0
+
 
 class TestAlgorithm:
     def test_below_five_vertices_brute_force(self):
@@ -85,6 +144,13 @@ class TestAlgorithm:
             got = count_perfmatch_3regular_line(lg)
             want = O.count_perfect_matchings(lg)
             assert got == want, name
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_large_subdivided_cubic_closed_form(self, n):
+        g = random_cubic(random.Random(n), n)
+        lg = line_graph(subdivide(g, 1))
+        assert lg.n == 3 * n
+        assert count_perfmatch_3regular_line(lg) == odd_edge_sets_closed_form(g)
 
     def test_subdivided_k4_value(self):
         lg = line_graph(subdivide(K4, 1))
