@@ -1,34 +1,14 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Single entry point to the counting kernels in eicount._kernels_py.
 
-``EICOUNT_BACKEND=python`` forces the fallback; ``EICOUNT_BACKEND=compiled``
-insists on the extension and fails loudly when it is missing.
+The oracles call every kernel through :func:`run_kernel`, so wrapping that
+one function (as the benchmark's tracer does) observes every kernel call.
 """
 
-import os
+from . import _kernels_py
 
-from . import _kernels_py as python_kernels
-
-_forced = os.environ.get("EICOUNT_BACKEND")
-
-compiled_kernels = None
-if _forced != "python":
-    try:
-        from . import _kernels as compiled_kernels
-    except ImportError:
-        if _forced == "compiled":
-            raise
-
-kernels = compiled_kernels if compiled_kernels is not None else python_kernels
-BACKEND = "compiled" if compiled_kernels is not None else "python"
+BACKEND = "python"
 
 
-def run_kernel(name, *args, **kwargs):
-    """Call a kernel, falling back to pure Python when the compiled side
-    rejects the instance (host too large, count beyond 2^62)."""
-    fn = getattr(kernels, name)
-    try:
-        return fn(*args, **kwargs)
-    except (ValueError, OverflowError):
-        if kernels is python_kernels:
-            raise
-        return getattr(python_kernels, name)(*args, **kwargs)
+def run_kernel(name, *args):
+    """Call the kernel ``name`` of eicount._kernels_py."""
+    return getattr(_kernels_py, name)(*args)

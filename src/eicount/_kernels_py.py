@@ -1,8 +1,8 @@
-"""Pure-Python fallback for the hot counting kernels.
+"""The hot counting kernels: pattern-map search, perfect matchings and
+odd edge-sets.
 
-Same API as the compiled extension ``eicount._kernels``; adjacency is passed
-as integer bitmasks so host graphs of any size work here (the compiled
-kernels cap hosts at 63 vertices and raise, triggering this fallback).
+Adjacency is passed as per-vertex integer bitmasks (``Graph.masks``), so
+hosts of any size work.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ MODE_HOM = 0
 MODE_EMB = 1
 MODE_EDGINJ = 2
 
-_INF = 255
-
 
 def count_maps(n, adj, mode, parents, anchor, anchor_dist, dist, weights=None):
     """Count (weighted) pattern maps into a host graph.
@@ -23,7 +21,7 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, dist, weights=None):
     parents[p]: images already placed that position p must be adjacent to.
     anchor[p]/anchor_dist[p]: a placed position whose host distance to the
     new image may not exceed the pattern distance (-1 disables the check).
-    dist: flattened n*n hop distances (255 = unreachable).
+    dist: flattened n*n hop distances (n = unreachable).
     weights: flattened n*n edge weights; when given, each map contributes
     the product of its image-edge weights (mode must be MODE_EDGINJ).
     """

@@ -28,7 +28,8 @@ class Graph:
     gadget constructions and never takes part in equality.
     """
 
-    __slots__ = ("n", "edges", "color", "weight", "k", "meta", "_adj")
+    __slots__ = ("n", "edges", "color", "weight", "k", "meta", "_adj",
+                 "_masks")
 
     def __init__(self, n, edges, color=None, weight=None, k=None, meta=None):
         self.n = int(n)
@@ -61,6 +62,7 @@ class Graph:
         self.weight = weight
         self.meta = dict(meta) if meta else {}
         self._adj = None
+        self._masks = None
 
     @property
     def m(self) -> int:
@@ -75,6 +77,18 @@ class Graph:
                 a[v].add(u)
             self._adj = a
         return self._adj
+
+    @property
+    def masks(self) -> tuple:
+        """Per-vertex neighbour bitmasks: bit u of ``masks[v]`` is set iff
+        uv is an edge."""
+        if self._masks is None:
+            m = [0] * self.n
+            for u, v in self.edges:
+                m[u] |= 1 << v
+                m[v] |= 1 << u
+            self._masks = tuple(m)
+        return self._masks
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

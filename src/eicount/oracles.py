@@ -2,8 +2,9 @@
 
 Everything here is exact and exponential; results are plain Python ints and
 serve as the ground truth against which the polynomial-time algorithms and
-reduction pipelines are tested.  Hot enumeration loops run in the compiled
-kernel when it is available (see eicount._backend).
+reduction pipelines are tested.  Hot enumeration loops run in the
+pure-Python kernels of eicount._kernels_py, called through
+eicount._backend.run_kernel.
 """
 
 from __future__ import annotations
@@ -17,27 +18,25 @@ from ._kernels_py import MODE_EDGINJ, MODE_EMB, MODE_HOM
 from .config import CapExceeded, check_cap, cap
 from .graphs import Graph, Partition, all_partitions, line_graph, quotient
 
-_INF = 255
 
-
-def _host_encoding(g: Graph):
-    """Adjacency bitmasks + flattened BFS hop-distance matrix."""
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    dist = [_INF] * (g.n * g.n)
-    for s in range(g.n):
-        dist[s * g.n + s] = 0
+def _hop_distances(g: Graph):
+    """Flattened BFS hop-distance matrix: entry ``s * g.n + v`` is the
+    distance from s to v, or ``g.n`` (longer than any path) when v is
+    unreachable from s."""
+    n = g.n
+    dist = [n] * (n * n)
+    for s in range(n):
+        row = s * n
+        dist[row + s] = 0
         dq = deque([s])
         while dq:
             v = dq.popleft()
-            dv = dist[s * g.n + v]
+            dv = dist[row + v] + 1
             for u in g.adj[v]:
-                if dist[s * g.n + u] == _INF:
-                    dist[s * g.n + u] = min(dv + 1, _INF - 1)
+                if dist[row + u] == n:
+                    dist[row + u] = dv
                     dq.append(u)
-    return masks, dist
+    return dist
 
 
 def _pattern_encoding(h: Graph):
@@ -62,38 +61,18 @@ def _pattern_encoding(h: Graph):
     # BFS distances inside the pattern, per component anchor
     anchor = [-1] * h.n
     adist = [0] * h.n
-    comps = _component_ids(h)
-    comp_of = {}
-    for comp in comps:
+    root_of = {}
+    for comp in h.components():
         first = min(comp, key=lambda v: pos_of[v])
         for v in comp:
-            comp_of[v] = first
-    hdist = _graph_distances(h)
+            root_of[v] = first
+    hdist = _hop_distances(h)
     for i, v in enumerate(order):
-        root = comp_of[v]
+        root = root_of[v]
         if root != v:
             anchor[i] = pos_of[root]
-            adist[i] = hdist[v][root]
+            adist[i] = hdist[root * h.n + v]
     return order, parents, anchor, adist
-
-
-def _component_ids(h: Graph):
-    return [frozenset(c) for c in h.components()]
-
-
-def _graph_distances(g: Graph):
-    out = []
-    for s in range(g.n):
-        d = {s: 0}
-        dq = deque([s])
-        while dq:
-            v = dq.popleft()
-            for u in g.adj[v]:
-                if u not in d:
-                    d[u] = d[v] + 1
-                    dq.append(u)
-        out.append(d)
-    return out
 
 
 def _check_pattern_cap(h: Graph, g: Graph):
@@ -119,7 +98,6 @@ def _count_maps(h: Graph, g: Graph, mode: int, weighted: bool = False) -> int:
     if g.n == 0:
         return 0
     _check_pattern_cap(h, g)
-    masks, dist = _host_encoding(g)
     _, parents, anchor, adist = _pattern_encoding(h)
     weights = None
     if weighted:
@@ -129,8 +107,8 @@ def _count_maps(h: Graph, g: Graph, mode: int, weighted: bool = False) -> int:
         for (u, v), w in g.weight.items():
             weights[u * g.n + v] = w
             weights[v * g.n + u] = w
-    return run_kernel("count_maps", g.n, masks, mode, parents, anchor,
-                      adist, dist, weights)
+    return run_kernel("count_maps", g.n, g.masks, mode, parents, anchor,
+                      adist, _hop_distances(g), weights)
 
 
 def count_hom(h: Graph, g: Graph) -> int:
@@ -237,11 +215,7 @@ def count_perfect_matchings(g: Graph) -> int:
     number of memoised states."""
     if g.n % 2:
         return 0
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return run_kernel("count_perfect_matchings", g.n, masks)
+    return run_kernel("count_perfect_matchings", g.n, g.masks)
 
 
 def count_odd_edge_sets_enum(g: Graph, by_cardinality: bool = False):

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, perm
 
-from .exact import (Polynomial, falling_factorial, interpolate,
-                    recover_unknowns, required_inputs)
+from .exact import Polynomial, interpolate, recover_unknowns, required_inputs
 from .graphs import Graph, edge, line_graph, make_pattern
 from .oracles import (count_edginj, count_edginj_weighted, count_matchings,
                       matchings_profile)
@@ -24,15 +23,18 @@ from .oracles import (count_edginj, count_edginj_weighted, count_matchings,
 # ---------------------------------------------------------------------------
 # the hub construction shared by the wedge and star pipelines
 
-def _validate_bipartite(g: Graph, left):
-    left = sorted(set(left))
+def _validate_bipartite_only(g: Graph, left):
     lset = set(left)
-    right = [v for v in range(g.n) if v not in lset]
-    rset = set(right)
     for u, v in g.edges:
         if (u in lset) == (v in lset):
-            raise ValueError("edge inside one side; graph is not bipartite "
-                             "for the given left set")
+            raise ValueError("graph is not bipartite for the given left set")
+
+
+def _validate_bipartite(g: Graph, left):
+    left = sorted(set(left))
+    _validate_bipartite_only(g, left)
+    lset = set(left)
+    right = [v for v in range(g.n) if v not in lset]
     for v in right:
         if g.degree(v) > 2:
             raise ValueError(f"right vertex {v} has degree > 2")
@@ -40,6 +42,28 @@ def _validate_bipartite(g: Graph, left):
         if len(g.adj[a] & g.adj[b]) > 1:
             raise ValueError(f"left vertices {a},{b} share two neighbors")
     return left, right
+
+
+def _hub_core(g: Graph, left, first: int):
+    """The part shared by the hub graphs: vertex 0 adjacent to every left
+    vertex and every degree-2 right vertex contracted to an edge between
+    its two (left) neighbours.  The left vertices, then the right vertices
+    of degree 1, take ids ``first, first + 1, ...`` in increasing original
+    order; ids 1 .. first-1 are left to the caller.
+
+    Returns (vertex count, edge list, ids of the left vertices).
+    """
+    left, right = _validate_bipartite(g, left)
+    keep_right = [v for v in right if g.degree(v) == 1]
+    newid = {v: first + i for i, v in enumerate(left + keep_right)}
+    es = [(0, newid[v]) for v in left]
+    for v in right:
+        nbrs = sorted(g.adj[v])
+        if g.degree(v) == 2:
+            es.append(edge(newid[nbrs[0]], newid[nbrs[1]]))
+        elif g.degree(v) == 1:
+            es.append(edge(newid[nbrs[0]], newid[v]))
+    return first + len(newid), es, tuple(newid[v] for v in left)
 
 
 def build_Gr(g: Graph, left, r: int) -> Graph:
@@ -53,24 +77,10 @@ def build_Gr(g: Graph, left, r: int) -> Graph:
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    left, right = _validate_bipartite(g, left)
-    keep_right = [v for v in right if g.degree(v) == 1]
-    newid = {}
-    for v in left:
-        newid[v] = 1 + r + len(newid)
-    for v in keep_right:
-        newid[v] = 1 + r + len(newid)
-    es = [(0, newid[v]) for v in left]
+    n, es, left_ids = _hub_core(g, left, 1 + r)
     es += [(0, s) for s in range(1, r + 1)]
-    for v in right:
-        nbrs = sorted(g.adj[v])
-        if g.degree(v) == 2:
-            es.append(edge(newid[nbrs[0]], newid[nbrs[1]]))
-        elif g.degree(v) == 1:
-            es.append(edge(newid[nbrs[0]], newid[v]))
-    out = Graph(1 + r + len(newid), es,
-                meta={"hub": 0, "specials": tuple(range(1, r + 1)),
-                      "left": tuple(newid[v] for v in left)})
+    out = Graph(n, es, meta={"hub": 0, "specials": tuple(range(1, r + 1)),
+                             "left": left_ids})
     assert out.m == len(es), "construction must stay simple"
     return out
 
@@ -152,9 +162,9 @@ def _packings_from_profile(profile, n_hub: int, r: int, j: int) -> int:
                 continue
             ways = cnt
             # choose which free hub-incident core edges pair with pendants
-            ways *= _binom(free_s, b)
+            ways *= comb(free_s, b)
             # ordered pendant choices: b singles plus c internal pairs
-            ways *= _ff(r, b + 2 * c) // (2 ** c * factorial(c))
+            ways *= perm(r, b + 2 * c) // (2 ** c * factorial(c))
             total += ways
     return 2 ** j * factorial(j) * total
 
@@ -167,18 +177,6 @@ def wedge_packings_in_hub(g0: Graph, r: int, j: int) -> int:
     ``g0`` must be the hub graph with r = 0 (meta carries the hub id).
     """
     return _packings_from_profile(*_hub_profile(g0), r, j)
-
-
-def _binom(n, k):
-    from math import comb
-    return comb(n, k) if 0 <= k <= n else 0
-
-
-def _ff(n, t):
-    out = 1
-    for i in range(t):
-        out *= n - i
-    return out
 
 
 def count_matchings_via_wedges(g: Graph, left, k: int) -> int:
@@ -228,33 +226,13 @@ def count_matchings_via_apex(g: Graph, left, k: int) -> int:
     return total // denom
 
 
-def _validate_bipartite_only(g: Graph, left):
-    lset = set(left)
-    for u, v in g.edges:
-        if (u in lset) == (v in lset):
-            raise ValueError("graph is not bipartite for the given left set")
-
-
 def build_star_host(g: Graph, left) -> Graph:
     """The subdivided-star host: hub adjacent to the left side, degree-2
     right vertices contracted, plus a pendant path hub-1-2 acting as the
     anchor ray.  Ids: hub 0, path vertices 1 and 2, then as in build_Gr."""
-    left, right = _validate_bipartite(g, left)
-    keep_right = [v for v in right if g.degree(v) == 1]
-    newid = {}
-    for v in left:
-        newid[v] = 3 + len(newid)
-    for v in keep_right:
-        newid[v] = 3 + len(newid)
-    es = [(0, newid[v]) for v in left]
+    n, es, _ = _hub_core(g, left, 3)
     es += [(0, 1), (1, 2)]
-    for v in right:
-        nbrs = sorted(g.adj[v])
-        if g.degree(v) == 2:
-            es.append(edge(newid[nbrs[0]], newid[nbrs[1]]))
-        elif g.degree(v) == 1:
-            es.append(edge(newid[nbrs[0]], newid[v]))
-    return Graph(3 + len(newid), es, meta={"hub": 0, "anchor_end": 2})
+    return Graph(n, es, meta={"hub": 0, "anchor_end": 2})
 
 
 def count_matchings_via_star(g: Graph, left, k: int) -> int:
@@ -341,9 +319,10 @@ def min_weighted_edge_separation(gb: Graph) -> int:
     weighted edges (structural sanity check; must be >= 5)."""
     from collections import deque
     marked = list(gb.meta["weighted_edges"])
+    marked_set = set(marked)
     plain_adj = [set() for _ in range(gb.n)]
     for e in gb.edges:
-        if gb.weight[e] != 1 and e in set(marked):
+        if gb.weight[e] != 1 and e in marked_set:
             continue
         u, v = e
         plain_adj[u].add(v)

@@ -20,6 +20,20 @@ def random_graph_strategy(max_n=7, p=0.5):
     return build()
 
 
+class TestMasks:
+    @given(random_graph_strategy(max_n=9))
+    @settings(max_examples=40, deadline=None)
+    def test_bits_are_the_neighbours(self, g):
+        assert len(g.masks) == g.n
+        for v in range(g.n):
+            assert {u for u in range(g.n) if g.masks[v] >> u & 1} == g.adj[v]
+
+    def test_built_once(self):
+        g = make_pattern("C", 70)
+        assert g.masks is g.masks
+        assert g.masks[0] == (1 << 1) | (1 << 69)
+
+
 class TestConstructors:
     def test_windmill(self):
         g = make_pattern("W", 3)

@@ -1,18 +1,12 @@
-"""The compiled and pure-Python kernels must agree everywhere; the compiled
-side must also hand hosts it cannot encode back to the fallback."""
+"""The counting kernels of eicount._kernels_py, checked against plain
+enumeration and through the oracles that call them."""
 
 import itertools
 import random
 
-import pytest
-
 from eicount import _backend, _kernels_py
 from eicount import oracles as O
 from eicount.graphs import Graph, make_pattern
-
-compiled = _backend.compiled_kernels
-needs_compiled = pytest.mark.skipif(compiled is None,
-                                    reason="compiled kernels unavailable")
 
 
 def rand_graph(rng, n, p=0.5):
@@ -20,77 +14,70 @@ def rand_graph(rng, n, p=0.5):
                      if rng.random() < p])
 
 
-@needs_compiled
-class TestBackendsAgree:
-    def test_count_maps(self):
-        rng = random.Random(0)
-        for _ in range(40):
-            h = rand_graph(rng, rng.randrange(1, 6))
-            g = rand_graph(rng, rng.randrange(1, 7))
-            from eicount.oracles import _host_encoding, _pattern_encoding
-            masks, dist = _host_encoding(g)
-            _, parents, anchor, adist = _pattern_encoding(h)
-            for mode in (0, 1, 2):
-                a = compiled.count_maps(g.n, masks, mode, parents, anchor,
-                                        adist, dist)
-                b = _kernels_py.count_maps(g.n, masks, mode, parents, anchor,
-                                           adist, dist)
-                assert a == b
-
-    def test_count_maps_weighted(self):
-        rng = random.Random(1)
-        from eicount.oracles import _host_encoding, _pattern_encoding
-        for _ in range(20):
-            h = rand_graph(rng, rng.randrange(1, 5))
-            g = rand_graph(rng, rng.randrange(2, 7))
-            if not g.edges:
-                continue
-            weights = [0] * (g.n * g.n)
-            for (u, v) in g.edges:
-                w = rng.randrange(0, 5)
-                weights[u * g.n + v] = weights[v * g.n + u] = w
-            masks, dist = _host_encoding(g)
-            _, parents, anchor, adist = _pattern_encoding(h)
-            a = compiled.count_maps(g.n, masks, 2, parents, anchor, adist,
-                                    dist, weights)
-            b = _kernels_py.count_maps(g.n, masks, 2, parents, anchor, adist,
-                                       dist, weights)
-            assert a == b
-
-    def test_perfect_matchings(self):
-        rng = random.Random(2)
-        for _ in range(30):
-            g = rand_graph(rng, rng.randrange(2, 11), 0.55)
-            masks = [0] * g.n
-            for u, v in g.edges:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            assert compiled.count_perfect_matchings(g.n, masks) == \
-                _kernels_py.count_perfect_matchings(g.n, masks)
-
-    def test_odd_edge_sets(self):
-        rng = random.Random(3)
-        for _ in range(30):
-            g = rand_graph(rng, rng.randrange(1, 8), 0.6)
-            eu = [e[0] for e in g.edges]
-            ev = [e[1] for e in g.edges]
-            for by_card in (False, True):
-                assert compiled.count_odd_edge_sets(g.n, eu, ev, by_card) == \
-                    _kernels_py.count_odd_edge_sets(g.n, eu, ev, by_card)
-
-    def test_large_host_falls_back(self):
-        # 70 vertices exceeds the compiled bitmask width for count_maps;
-        # run_kernel must transparently fall back
-        g = Graph(70, [(i, i + 1) for i in range(69)])
-        h = make_pattern("P", 2)
-        assert O.count_edginj(h, g) == 2 * sum(
-            g.degree(v) * (g.degree(v) - 1) for v in range(g.n)) // 2
+def brute_maps(h, g, mode, weight=None):
+    """Sum over all maps V(h) -> V(g) of the kernel's contribution, by
+    trying every vertex assignment."""
+    total = 0
+    for img in itertools.product(range(g.n), repeat=h.n):
+        if mode == _kernels_py.MODE_EMB and len(set(img)) < h.n:
+            continue
+        images = [tuple(sorted((img[u], img[v]))) for u, v in h.edges]
+        if not all(g.has_edge(*e) for e in images):
+            continue
+        if mode == _kernels_py.MODE_EDGINJ and len(set(images)) < h.m:
+            continue
+        contrib = 1
+        if weight is not None:
+            for e in images:
+                contrib *= weight[e]
+        total += contrib
+    return total
 
 
-class TestFallbackAlone:
-    def test_python_kernel_runs_oracles(self, monkeypatch):
-        monkeypatch.setattr(_backend, "kernels", _kernels_py)
-        k4 = make_pattern("K", 4)
-        assert O.count_perfect_matchings(k4) == 3
-        assert O.count_edginj(make_pattern("P", 2), k4) == 24
-        assert O.count_odd_edge_sets_enum(k4) == 8
+def test_count_maps_matches_enumeration():
+    # random patterns and hosts are often disconnected, which exercises
+    # the per-component anchors and unreachable host distances
+    rng = random.Random(0)
+    for _ in range(40):
+        h = rand_graph(rng, rng.randrange(1, 5))
+        g = rand_graph(rng, rng.randrange(1, 7))
+        assert O.count_hom(h, g) == brute_maps(h, g, _kernels_py.MODE_HOM)
+        assert O.count_emb(h, g) == brute_maps(h, g, _kernels_py.MODE_EMB)
+        assert O.count_edginj(h, g) == brute_maps(h, g,
+                                                  _kernels_py.MODE_EDGINJ)
+
+
+def test_weighted_count_maps_matches_enumeration():
+    rng = random.Random(1)
+    for _ in range(25):
+        h = rand_graph(rng, rng.randrange(1, 5))
+        g = rand_graph(rng, rng.randrange(2, 7))
+        weight = {e: rng.randrange(0, 5) for e in g.edges}
+        gw = Graph(g.n, g.edges, weight=weight)
+        assert O.count_edginj_weighted(h, gw) == brute_maps(
+            h, g, _kernels_py.MODE_EDGINJ, weight)
+
+
+def test_hop_distances_mark_unreachable_with_n():
+    # two paths 0-1-2 and 3-4 plus an isolated vertex 5
+    g = Graph(6, [(0, 1), (1, 2), (3, 4)])
+    dist = O._hop_distances(g)
+    assert dist[0 * 6 + 2] == dist[2 * 6 + 0] == 2
+    assert dist[3 * 6 + 4] == 1
+    assert dist[0 * 6 + 3] == dist[5 * 6 + 0] == 6
+    assert all(dist[v * 6 + v] == 0 for v in range(6))
+
+
+def test_count_maps_past_63_vertices():
+    g = Graph(70, [(i, i + 1) for i in range(69)])
+    h = make_pattern("P", 2)
+    assert O.count_edginj(h, g) == sum(
+        g.degree(v) * (g.degree(v) - 1) for v in range(g.n))
+
+
+def test_oracles_run_on_the_python_kernels():
+    assert _backend.BACKEND == "python"
+    k4 = make_pattern("K", 4)
+    assert O.count_perfect_matchings(k4) == 3
+    assert O.count_edginj(make_pattern("P", 2), k4) == 24
+    assert O.count_odd_edge_sets_enum(k4) == 8

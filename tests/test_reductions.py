@@ -53,6 +53,19 @@ class TestBuildGr:
         with pytest.raises(ValueError):
             build_Gr(bad, [0, 1, 2], 0)
 
+    def test_documented_ids(self):
+        # RAGGED: right vertex 3 joins left 0 and 1, right vertex 4 hangs
+        # off left 1, left 2 is isolated
+        gr = build_Gr(RAGGED, [0, 1, 2], 1)
+        assert gr.n == 6
+        assert gr.edges == ((0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (3, 5))
+        assert (gr.meta["specials"], gr.meta["left"]) == ((1,), (2, 3, 4))
+        star = build_star_host(RAGGED, [0, 1, 2])
+        assert star.n == 7
+        assert star.edges == ((0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (3, 4),
+                              (4, 6))
+        assert star.meta == {"hub": 0, "anchor_end": 2}
+
     def test_simple(self):
         for name, g, left in BIP:
             for r in (0, 2):
