@@ -8,20 +8,35 @@ hosts of any size work.
 from __future__ import annotations
 
 from .config import CapExceeded, cap
+from .graphs import bfs_layers
 
 MODE_HOM = 0
 MODE_EMB = 1
 MODE_EDGINJ = 2
 
 
-def count_maps(n, adj, mode, parents, anchor, anchor_dist, dist, weights=None):
+def _balls(adj, w, r):
+    """[B_0, ..., B_r]: B_d is the bitmask of host vertices within hop
+    distance d of w."""
+    out = []
+    ball = 0
+    for layer in bfs_layers(adj, 1 << w):
+        ball |= layer
+        out.append(ball)
+        if len(out) > r:
+            break
+    return out + [ball] * (r + 1 - len(out))
+
+
+def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None):
     """Count (weighted) pattern maps into a host graph.
 
     n: host vertex count; adj: per-vertex neighbor bitmasks.
     parents[p]: images already placed that position p must be adjacent to.
-    anchor[p]/anchor_dist[p]: a placed position whose host distance to the
-    new image may not exceed the pattern distance (-1 disables the check).
-    dist: flattened n*n hop distances (n = unreachable).
+    anchor[p]/anchor_dist[p]: the first position of p's component, whose
+    image must lie within host distance anchor_dist[p] of p's image (-1
+    disables the check).  When an anchor is placed, the balls around its
+    image are built up to the largest anchor_dist that refers to it.
     weights: flattened n*n edge weights; when given, each map contributes
     the product of its image-edge weights (mode must be MODE_EDGINJ).
     """
@@ -29,6 +44,11 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, dist, weights=None):
     if npos == 0:
         return 1
     full = (1 << n) - 1
+    radius = [0] * npos
+    for p, a in enumerate(anchor):
+        if a >= 0:
+            radius[a] = max(radius[a], anchor_dist[p])
+    balls = [None] * npos  # balls[a][d]: host vertices within d of img[a]
     img = [0] * npos
     used = [0] * n  # used[u] bit v set <=> host edge {u,v} already an image
     total = 0
@@ -46,13 +66,14 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, dist, weights=None):
             for q in range(pos):
                 cand &= ~(1 << img[q])
         a = anchor[pos]
-        amax = anchor_dist[pos]
-        arow = img[a] * n if a >= 0 else 0
+        if a >= 0:
+            cand &= balls[a][anchor_dist[pos]]
+        r = radius[pos]
         while cand:
             w = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            if a >= 0 and dist[arow + w] > amax:
-                continue
+            if r:
+                balls[pos] = _balls(adj, w, r)
             wgt = acc
             if mode == MODE_EDGINJ:
                 placed = 0

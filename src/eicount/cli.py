@@ -19,11 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import deque
 
 from . import eihom, holant, linegraphs, oracles, reductions, verify
 from .config import CapExceeded
-from .graphs import Graph, make_pattern, parse_graph, serialize_graph
+from .graphs import (Graph, bfs_layers, bits, make_pattern, parse_graph,
+                     serialize_graph)
 
 # quantity -> {algo: count(pattern, host, args)}; the functions are looked up
 # at call time, so a patched module attribute is what runs.
@@ -75,23 +75,18 @@ def _load_graph(spec: str) -> Graph:
 
 
 def _bipartition(g: Graph):
-    """2-color the host; returns (sideA, sideB) or raises."""
-    side = [None] * g.n
-    for s in range(g.n):
-        if side[s] is not None:
-            continue
-        side[s] = 0
-        dq = deque([s])
-        while dq:
-            v = dq.popleft()
-            for u in g.adj[v]:
-                if side[u] is None:
-                    side[u] = 1 - side[v]
-                    dq.append(u)
-                elif side[u] == side[v]:
-                    raise ValueError("host is not bipartite")
-    a = [v for v in range(g.n) if side[v] == 0]
-    b = [v for v in range(g.n) if side[v] == 1]
+    """2-color the host by the parity of BFS layers; returns (sideA, sideB)
+    or raises."""
+    sides = [0, 0]
+    rest = (1 << g.n) - 1
+    while rest:
+        for d, layer in enumerate(bfs_layers(g.masks, rest & -rest)):
+            sides[d % 2] |= layer
+            rest ^= layer
+    for side in sides:
+        if any(g.masks[v] & side for v in bits(side)):
+            raise ValueError("host is not bipartite")
+    a, b = (list(bits(side)) for side in sides)
     return a, b
 
 

@@ -19,6 +19,29 @@ def edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def bits(mask: int):
+    """Yield the indices of the set bits of ``mask`` in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def bfs_layers(masks, sources: int):
+    """Breadth-first search over per-vertex neighbour bitmasks (such as
+    ``Graph.masks``): yield ``sources`` and then, for d = 1, 2, ..., the
+    bitmask of the vertices at hop distance exactly d from the nearest
+    source, stopping once no new vertex is reached."""
+    seen = frontier = sources
+    while frontier:
+        yield frontier
+        reach = 0
+        for v in bits(frontier):
+            reach |= masks[v]
+        frontier = reach & ~seen
+        seen |= frontier
+
+
 class Graph:
     """Loop-free simple graph, optionally edge-colored and edge-weighted.
 
@@ -33,6 +56,8 @@ class Graph:
 
     def __init__(self, n, edges, color=None, weight=None, k=None, meta=None):
         self.n = int(n)
+        if self.n < 0:
+            raise ValueError(f"negative vertex count {self.n}")
         es = sorted(edge(u, v) for (u, v) in edges)
         for e in es:
             if not (0 <= e[0] < self.n and 0 <= e[1] < self.n):
@@ -96,10 +121,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def edge_index(self) -> dict:
-        """Edge -> position in the sorted edge tuple."""
-        return {e: i for i, e in enumerate(self.edges)}
-
     def color_classes(self) -> dict:
         """Color id -> list of edges (every declared color, even if empty)."""
         classes = {c: [] for c in range(1, self.k + 1)}
@@ -107,13 +128,6 @@ class Graph:
             for e in self.edges:
                 classes[self.color[e]].append(e)
         return classes
-
-    def subgraph_edges(self, keep) -> "Graph":
-        """Same vertex set, only the given edges."""
-        keep = {edge(*e) for e in keep}
-        color = {e: c for e, c in self.color.items() if e in keep} if self.color else None
-        weight = {e: w for e, w in self.weight.items() if e in keep} if self.weight else None
-        return Graph(self.n, keep, color=color, weight=weight, k=self.k or None)
 
     def remove_vertices(self, drop) -> "Graph":
         """Induced subgraph on the complement of ``drop``; vertices renumbered
@@ -133,21 +147,16 @@ class Graph:
         return Graph(len(keep), es, color=color, weight=weight, k=self.k or None)
 
     def components(self):
-        seen = [False] * self.n
+        """Vertex sets of the connected components as sorted lists, ordered
+        by their smallest vertex."""
         out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp, stack = [], [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in self.adj[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-            out.append(sorted(comp))
+        rest = (1 << self.n) - 1
+        while rest:
+            comp = 0
+            for layer in bfs_layers(self.masks, rest & -rest):
+                comp |= layer
+            rest ^= comp
+            out.append(list(bits(comp)))
         return out
 
     def __eq__(self, other):
@@ -505,6 +514,8 @@ def parse_graph(text: str) -> Graph:
             if n is not None or len(parts) != 2:
                 raise ValueError(f"line {lineno}: bad or repeated header")
             n = int(parts[1])
+            if n < 0:
+                raise ValueError(f"line {lineno}: negative vertex count {n}")
         elif parts[0] == "e":
             if n is None:
                 raise ValueError(f"line {lineno}: edge before header")
@@ -528,6 +539,8 @@ def parse_graph(text: str) -> Graph:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None:
         raise ValueError("missing 'v <n>' header")
+    if color and len(color) != len(edges):
+        raise ValueError("colors must cover every edge or none")
     if weight and len(weight) != len(edges):
         raise ValueError("weights must cover every edge or none")
     return Graph(n, edges, color=color or None, weight=weight or None)

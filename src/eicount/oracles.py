@@ -10,33 +10,13 @@ eicount._backend.run_kernel.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from math import factorial
 
 from ._backend import run_kernel
 from ._kernels_py import MODE_EDGINJ, MODE_EMB, MODE_HOM
 from .config import CapExceeded, check_cap, cap
-from .graphs import Graph, Partition, all_partitions, line_graph, quotient
-
-
-def _hop_distances(g: Graph):
-    """Flattened BFS hop-distance matrix: entry ``s * g.n + v`` is the
-    distance from s to v, or ``g.n`` (longer than any path) when v is
-    unreachable from s."""
-    n = g.n
-    dist = [n] * (n * n)
-    for s in range(n):
-        row = s * n
-        dist[row + s] = 0
-        dq = deque([s])
-        while dq:
-            v = dq.popleft()
-            dv = dist[row + v] + 1
-            for u in g.adj[v]:
-                if dist[row + u] == n:
-                    dist[row + u] = dv
-                    dq.append(u)
-    return dist
+from .graphs import (Graph, Partition, all_partitions, bfs_layers, bits,
+                     line_graph, quotient)
 
 
 def _pattern_encoding(h: Graph):
@@ -58,38 +38,35 @@ def _pattern_encoding(h: Graph):
     pos_of = {v: i for i, v in enumerate(order)}
     parents = [tuple(sorted(pos_of[u] for u in h.adj[v] if pos_of[u] < i))
                for i, v in enumerate(order)]
-    # BFS distances inside the pattern, per component anchor
     anchor = [-1] * h.n
     adist = [0] * h.n
-    root_of = {}
-    for comp in h.components():
-        first = min(comp, key=lambda v: pos_of[v])
-        for v in comp:
-            root_of[v] = first
-    hdist = _hop_distances(h)
-    for i, v in enumerate(order):
-        root = root_of[v]
-        if root != v:
-            anchor[i] = pos_of[root]
-            adist[i] = hdist[root * h.n + v]
+    seen = 0
+    for i, root in enumerate(order):
+        if seen >> root & 1:
+            continue
+        for d, layer in enumerate(bfs_layers(h.masks, 1 << root)):
+            seen |= layer
+            for v in bits(layer):
+                if v != root:
+                    anchor[pos_of[v]] = i
+                    adist[pos_of[v]] = d
     return order, parents, anchor, adist
 
 
-def _check_pattern_cap(h: Graph, g: Graph):
-    if h.n <= cap("PATTERN_CAP"):
+def _check_pattern_cap(parents, g: Graph):
+    if len(parents) <= cap("PATTERN_CAP"):
         return
     # long paths/cycles and similar sparse patterns are admitted when the
     # estimated search volume stays within budget; branching at a parented
     # position is the degree of the current image, so the mean host degree
     # is the realistic per-step factor
-    _, parents, _, _ = _pattern_encoding(h)
     mean_deg = max(1.0, 2.0 * g.m / g.n)
     volume = 1.0
     for ps in parents:
         volume *= g.n if not ps else mean_deg
         if volume > cap("SEARCH_VOLUME_CAP"):
             raise CapExceeded(
-                f"pattern on {h.n} vertices: search volume exceeds cap")
+                f"pattern on {len(parents)} vertices: search volume exceeds cap")
 
 
 def _count_maps(h: Graph, g: Graph, mode: int, weighted: bool = False) -> int:
@@ -97,8 +74,8 @@ def _count_maps(h: Graph, g: Graph, mode: int, weighted: bool = False) -> int:
         return 1
     if g.n == 0:
         return 0
-    _check_pattern_cap(h, g)
     _, parents, anchor, adist = _pattern_encoding(h)
+    _check_pattern_cap(parents, g)
     weights = None
     if weighted:
         if g.weight is None:
@@ -108,7 +85,7 @@ def _count_maps(h: Graph, g: Graph, mode: int, weighted: bool = False) -> int:
             weights[u * g.n + v] = w
             weights[v * g.n + u] = w
     return run_kernel("count_maps", g.n, g.masks, mode, parents, anchor,
-                      adist, _hop_distances(g), weights)
+                      adist, weights)
 
 
 def count_hom(h: Graph, g: Graph) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 from .exact import Polynomial, interpolate, recover_unknowns, required_inputs
-from .graphs import Graph, edge, line_graph, make_pattern
+from .graphs import Graph, bfs_layers, edge, line_graph, make_pattern
 from .oracles import (count_edginj, count_edginj_weighted, count_matchings,
                       matchings_profile)
 
@@ -316,31 +316,22 @@ def build_cycle_gadget(g: Graph, b: int) -> Graph:
 
 def min_weighted_edge_separation(gb: Graph) -> int:
     """Least number of weight-1 edges on a path between two distinct
-    weighted edges (structural sanity check; must be >= 5)."""
-    from collections import deque
-    marked = list(gb.meta["weighted_edges"])
-    marked_set = set(marked)
-    plain_adj = [set() for _ in range(gb.n)]
-    for e in gb.edges:
-        if gb.weight[e] != 1 and e in marked_set:
-            continue
-        u, v = e
-        plain_adj[u].add(v)
-        plain_adj[v].add(u)
-    best = None
-    for a, b in itertools.combinations(marked, 2):
-        dist = {x: 0 for x in a}
-        dq = deque(a)
-        while dq:
-            x = dq.popleft()
-            for y in plain_adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    dq.append(y)
-        d = min((dist[x] for x in b if x in dist), default=None)
-        if d is not None and (best is None or d < best):
-            best = d
-    return best if best is not None else -1
+    weighted edges (structural sanity check; must be >= 5).
+
+    A shortest such path never runs through a third weighted edge, whose
+    endpoints would be nearer, so the search walks every edge.
+    """
+    best = -1
+    earlier = 0  # endpoints of the weighted edges already searched from
+    for u, v in gb.meta["weighted_edges"]:
+        ends = (1 << u) | (1 << v)
+        for d, layer in enumerate(bfs_layers(gb.masks, ends)):
+            if layer & earlier:
+                if best < 0 or d < best:
+                    best = d
+                break
+        earlier |= ends
+    return best
 
 
 def cycle_gadget_polynomial_value(g: Graph, k: int, b: int) -> int:

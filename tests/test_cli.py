@@ -55,6 +55,27 @@ class TestCount:
             vals.add(out.strip())
         assert vals == {"9"}
 
+    @pytest.mark.parametrize("k,want", [(2, "28"), (3, "35")])
+    def test_matchings_pipelines_on_disconnected_host(self, capsys, tmp_path,
+                                                     k, want):
+        # C_6, a path with three edges and an isolated vertex
+        f = tmp_path / "host.g"
+        f.write_text("v 11\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 0 5\n"
+                     "e 6 7\ne 7 8\ne 8 9\n")
+        for algo in ("oracle", "pipeline:wedges", "pipeline:apex",
+                     "pipeline:star"):
+            code, out, _ = run_cli(capsys, "count", "matchings", "--host",
+                                   str(f), "--k", str(k), "--algo", algo)
+            assert code == 0 and out.strip() == want
+
+    @pytest.mark.parametrize("algo", ["pipeline:wedges", "pipeline:apex",
+                                      "pipeline:star"])
+    def test_matchings_pipelines_reject_odd_cycle(self, capsys, algo):
+        code, out, err = run_cli(capsys, "count", "matchings",
+                                 "--host", "builtin:C,5", "--k", "2",
+                                 "--algo", algo)
+        assert code == 2 and out == "" and "host is not bipartite" in err
+
     def test_perfmatch_pipeline(self, capsys):
         code, out, _ = run_cli(capsys, "count", "perfmatch",
                                "--host", "builtin:K,4",
@@ -85,6 +106,25 @@ class TestCount:
                                "--host", "builtin:C,6", "--k", "2",
                                "--algo", "pipeline:bogus")
         assert code == 2
+
+    @pytest.mark.parametrize("quantity", ["perfmatch", "odd-edge-sets", "hom"])
+    def test_negative_vertex_count(self, capsys, tmp_path, quantity):
+        f = tmp_path / "neg.g"
+        f.write_text("# empty\nv -3\n")
+        code, out, err = run_cli(capsys, "count", quantity, "--algo", "oracle",
+                                 "--pattern", "builtin:P,1", "--host", str(f))
+        assert code == 2 and out == ""
+        assert "line 2: negative vertex count -3" in err
+
+    @pytest.mark.parametrize("algo", ["oracle", "pipeline:subdiv",
+                                      "pipeline:uncolored"])
+    def test_colors_on_some_edges_only(self, capsys, tmp_path, algo):
+        f = tmp_path / "part.g"
+        f.write_text("v 3\ne 0 1 c=1\ne 1 2\n")
+        code, out, err = run_cli(capsys, "count", "colmatch", "--host", str(f),
+                                 "--algo", algo)
+        assert code == 2 and out == ""
+        assert "colors must cover every edge or none" in err
 
     # inputs per quantity on which every route applies
     ROUTE_INPUTS = {

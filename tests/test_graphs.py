@@ -34,6 +34,17 @@ class TestMasks:
         assert g.masks[0] == (1 << 1) | (1 << 69)
 
 
+class TestGraph:
+    def test_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="negative vertex count -3"):
+            Graph(-3, [])
+
+    def test_components(self):
+        g = Graph(7, [(4, 1), (1, 6), (2, 5)])
+        assert g.components() == [[0], [1, 4, 6], [2, 5], [3]]
+        assert Graph(0, []).components() == []
+
+
 class TestConstructors:
     def test_windmill(self):
         g = make_pattern("W", 3)
@@ -174,6 +185,15 @@ class TestTextFormat:
     def test_duplicate_edge_reports_line(self):
         with pytest.raises(ValueError, match=r"^line 5: duplicate edge \(0, 2\)$"):
             parse_graph("v 3\ne 0 1\n# note\ne 0 2\ne 2 0\n")
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(ValueError, match=r"^line 1: negative vertex count -3$"):
+            parse_graph("v -3\n")
+
+    def test_colors_must_cover_every_edge(self):
+        with pytest.raises(ValueError,
+                           match=r"^colors must cover every edge or none$"):
+            parse_graph("v 3\ne 0 1 c=1\ne 1 2\n")
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,11 @@ enumeration and through the oracles that call them."""
 
 import itertools
 import random
+import tracemalloc
 
 from eicount import _backend, _kernels_py
 from eicount import oracles as O
-from eicount.graphs import Graph, make_pattern
+from eicount.graphs import Graph, bfs_layers, bits, make_pattern
 
 
 def rand_graph(rng, n, p=0.5):
@@ -36,7 +37,7 @@ def brute_maps(h, g, mode, weight=None):
 
 def test_count_maps_matches_enumeration():
     # random patterns and hosts are often disconnected, which exercises
-    # the per-component anchors and unreachable host distances
+    # the per-component anchors and unreachable host vertices
     rng = random.Random(0)
     for _ in range(40):
         h = rand_graph(rng, rng.randrange(1, 5))
@@ -45,6 +46,15 @@ def test_count_maps_matches_enumeration():
         assert O.count_emb(h, g) == brute_maps(h, g, _kernels_py.MODE_EMB)
         assert O.count_edginj(h, g) == brute_maps(h, g,
                                                   _kernels_py.MODE_EDGINJ)
+    # C_5 and C_6 have anchor distances 2 and 3, so they prune with balls
+    # of that radius
+    for k, n in [(5, 5), (5, 6), (5, 7), (6, 5), (6, 6), (6, 7)]:
+        h = make_pattern("C", k)
+        g = rand_graph(rng, n, p=0.4)
+        for mode, count in [(_kernels_py.MODE_HOM, O.count_hom),
+                            (_kernels_py.MODE_EMB, O.count_emb),
+                            (_kernels_py.MODE_EDGINJ, O.count_edginj)]:
+            assert count(h, g) == brute_maps(h, g, mode)
 
 
 def test_weighted_count_maps_matches_enumeration():
@@ -58,14 +68,27 @@ def test_weighted_count_maps_matches_enumeration():
             h, g, _kernels_py.MODE_EDGINJ, weight)
 
 
-def test_hop_distances_mark_unreachable_with_n():
-    # two paths 0-1-2 and 3-4 plus an isolated vertex 5
-    g = Graph(6, [(0, 1), (1, 2), (3, 4)])
-    dist = O._hop_distances(g)
-    assert dist[0 * 6 + 2] == dist[2 * 6 + 0] == 2
-    assert dist[3 * 6 + 4] == 1
-    assert dist[0 * 6 + 3] == dist[5 * 6 + 0] == 6
-    assert all(dist[v * 6 + v] == 0 for v in range(6))
+def test_bfs_layers_from_several_sources():
+    # paths 0-1-2-3 and 4-5, an isolated vertex 6
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5)])
+    layers = list(bfs_layers(g.masks, (1 << 0) | (1 << 5)))
+    assert [list(bits(layer)) for layer in layers] == [[0, 5], [1, 4], [2], [3]]
+    assert list(bfs_layers(g.masks, 1 << 6)) == [1 << 6]
+    assert list(bfs_layers(g.masks, 0)) == []
+    assert list(bits(0)) == []
+    assert list(bits((1 << 70) | 0b101)) == [0, 2, 70]
+
+
+def test_distance_pruning_memory_is_linear_in_the_host():
+    g = Graph(1000, [(i, i + 1) for i in range(999)])
+    tracemalloc.start()
+    try:
+        got = O.count_edginj(make_pattern("P", 2), g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == sum(g.degree(v) * (g.degree(v) - 1) for v in range(g.n))
+    assert peak < 4 * 2**20
 
 
 def test_count_maps_past_63_vertices():

@@ -159,8 +159,9 @@ class TestCycleGadget:
 
     def test_separation(self):
         for g in (K4, make_pattern("C", 5)):
-            gb = build_cycle_gadget(g, 1)
-            assert min_weighted_edge_separation(gb) >= 5
+            for b in range(4):
+                gb = build_cycle_gadget(g, b)
+                assert min_weighted_edge_separation(gb) == 5
 
     def test_p_integral(self):
         for b in range(3):
