@@ -37,8 +37,9 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None):
     image must lie within host distance anchor_dist[p] of p's image (-1
     disables the check).  When an anchor is placed, the balls around its
     image are built up to the largest anchor_dist that refers to it.
-    weights: flattened n*n edge weights; when given, each map contributes
-    the product of its image-edge weights (mode must be MODE_EDGINJ).
+    weights: per-vertex dicts, weights[u][w] the weight of host edge
+    {u, w}; when given, each map contributes the product of its image-edge
+    weights (mode must be MODE_EDGINJ).
     """
     npos = len(parents)
     if npos == 0:
@@ -87,7 +88,7 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None):
                     used[w] |= 1 << u
                     placed += 1
                     if weights is not None:
-                        wgt *= weights[u * n + w]
+                        wgt *= weights[u][w]
                 if ok:
                     img[pos] = w
                     if pos + 1 == npos:

@@ -1,24 +1,56 @@
-"""Exact arithmetic: dense univariate polynomials over Fraction, Lagrange
-interpolation, rational linear solving, GF(2) solution counting, and the
+"""Exact arithmetic: dense univariate polynomials, Newton interpolation,
+fraction-free linear solving, GF(2) solution counting, and the
 moment-recovery routine behind the wedge-packing pipeline.
 
-No floating point anywhere; rationals are :class:`fractions.Fraction`.
+No floating point anywhere.  Values are Python ints first: a scalar or
+polynomial coefficient is a :class:`fractions.Fraction` only where it is
+truly non-integral, so the integer-valued pipelines never build one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, lcm
+
+
+def _exact(c):
+    """``c`` as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """a / b, exact: an int when b divides a, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _exact(Fraction(a) / b)
+
+
+def exact_quotient(num, den: int, message: str) -> int:
+    """num // den for an int den, raising ArithmeticError(message) unless
+    den divides num (a non-integral Fraction num always raises).
+
+    The pipelines divide a count by the size of an orbit; a remainder
+    means a wrong count upstream, which must not be truncated away."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(message)
+    return q
 
 
 class Polynomial:
-    """Dense univariate polynomial over Fraction; index = degree."""
+    """Dense univariate polynomial; index = degree.  Integral coefficients
+    are ints, the others Fractions."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -36,8 +68,8 @@ class Polynomial:
         """Degree, with the zero polynomial mapped to -1."""
         return len(self.coeffs) - 1
 
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def coeff(self, i: int):
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -53,8 +85,13 @@ class Polynomial:
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial.const(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(i) + other.coeff(i) for i in range(n)])
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return Polynomial(out)
 
     __radd__ = __add__
 
@@ -71,8 +108,9 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            return Polynomial([c * Fraction(other) for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
+            other = _exact(other)
+            return Polynomial([c * other for c in self.coeffs])
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
@@ -81,16 +119,17 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __call__(self, x):
-        acc = Fraction(0)
+        x = _exact(x)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return _exact(acc)
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """self(inner(x)), exact."""
         acc = Polynomial()
         for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial.const(c)
+            acc = acc * inner + c
         return acc
 
     def __repr__(self):
@@ -106,51 +145,75 @@ def falling_factorial(x, t: int):
         for i in range(t):
             acc = acc * (x - i)
         return acc
-    acc = Fraction(1)
+    x = _exact(x)
+    acc = 1
     for i in range(t):
-        acc *= Fraction(x) - i
-    return acc
+        acc *= x - i
+    return _exact(acc)
 
 
 def interpolate(points) -> Polynomial:
     """Unique polynomial of degree < #points through the given points,
-    via Newton divided differences (exact)."""
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
+    via Newton divided differences (exact).
+
+    A divided difference stays an int whenever it divides evenly, which it
+    always does at integer nodes of an integer-coefficient polynomial; a
+    Fraction appears only where a quotient is non-integral."""
+    xs = [_exact(x) for x, _ in points]
+    ys = [_exact(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate x value")
     # divided-difference coefficients
     dd = ys[:]
     for lvl in range(1, len(xs)):
         for i in range(len(xs) - 1, lvl - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - lvl])
+            dd[i] = _div(dd[i] - dd[i - 1], xs[i] - xs[i - lvl])
+    # Horner form: dd[0] + (x - xs[0]) (dd[1] + (x - xs[1]) (...))
     poly = Polynomial()
-    basis = Polynomial.const(1)
-    for i, c in enumerate(dd):
-        poly = poly + basis * c
-        basis = basis * (Polynomial.x() - xs[i])
+    for i in range(len(dd) - 1, -1, -1):
+        poly = poly * Polynomial([-xs[i], 1]) + dd[i]
     return poly
 
 
 def solve_rational(matrix, rhs):
-    """Exact solution of a square nonsingular system by Gaussian elimination
-    with partial (first-nonzero) pivoting over Fraction."""
+    """Exact solution of a square nonsingular system.
+
+    Each row of the augmented matrix is scaled by the lcm of its
+    denominators, then fraction-free Bareiss elimination (first-nonzero
+    pivoting) brings it to upper-triangular form over the ints: every
+    division by the previous pivot is exact.  Back substitution returns an
+    int for each integral unknown and a Fraction for the others."""
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("system must be square")
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    a = []
+    for row, b in zip(matrix, rhs):
+        row = [_exact(x) for x in row] + [_exact(b)]
+        scale = lcm(*(x.denominator for x in row))
+        a.append([x if scale == 1 else int(x * scale) for x in row])
+    prev = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
             raise ValueError("singular matrix")
         a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+        top = a[col]
+        p = top[col]
+        for r in range(col + 1, n):
+            row = a[r]
+            f = row[col]
+            row[col] = 0
+            for j in range(col + 1, n + 1):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+    sol = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = row[n]
+        for j in range(i + 1, n):
+            acc -= row[j] * sol[j]
+        sol[i] = _div(acc, row[i])
+    return sol
 
 
 def sigma_expand(r: int, k: int):
@@ -222,7 +285,7 @@ def recover_unknowns(k: int, polys):
             matrix, rhs = [], []
             for r in nodes:
                 total = polys[r].coeff(2 * r - level)
-                known = Fraction(0)
+                known = 0
                 row = []
                 for j in range(unknowns):
                     i = level - 2 * j
@@ -232,7 +295,7 @@ def recover_unknowns(k: int, polys):
                         c = sig.coeff(jj)
                         if c:
                             known += comb(r, j) * c * moments[(j, jj)]
-                    row.append(Fraction(comb(2 * (r - j), i) * comb(r, j)))
+                    row.append(comb(2 * (r - j), i) * comb(r, j))
                 sign = -1 if level % 2 else 1
                 rhs.append(sign * (total - known))
                 matrix.append(row)
@@ -245,7 +308,7 @@ def recover_unknowns(k: int, polys):
             break
         else:
             raise ValueError(f"singular moment system at level {level}")
-    vander = [[Fraction(t) ** i for t in range(k + 1)] for i in range(k + 1)]
+    vander = [[t ** i for t in range(k + 1)] for i in range(k + 1)]
     return solve_rational(vander, [moments[(k, i)] for i in range(k + 1)])
 
 
@@ -263,7 +326,7 @@ def plant_polynomials(a, max_r: int):
         p = Polynomial()
         for j in range(r + 1):
             for t in range(j + 1):
-                coef = Fraction(a.get((t, j - t), 0))
+                coef = a.get((t, j - t), 0)
                 if coef:
                     p = p + coef * comb(r, j) * _shifted_falling(t, 2 * (r - j))
         out.append(p)
@@ -322,4 +385,5 @@ __all__ = [
     "Polynomial", "falling_factorial", "interpolate", "solve_rational",
     "sigma_expand", "recover_unknowns", "required_inputs",
     "plant_polynomials", "gf2_solution_count", "multinomial",
+    "exact_quotient",
 ]

@@ -463,7 +463,8 @@ def colmatch_via_subdivision(g: Graph) -> int:
     total = Fraction(0)
     for coef, query in terms:
         total += coef * count_matchings(query, query.k, colorful=True)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise ArithmeticError("colorful matching count must be an integer")
     return int(total)
 
 

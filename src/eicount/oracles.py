@@ -15,6 +15,7 @@ from math import factorial
 from ._backend import run_kernel
 from ._kernels_py import MODE_EDGINJ, MODE_EMB, MODE_HOM
 from .config import CapExceeded, check_cap, cap
+from .exact import exact_quotient
 from .graphs import (Graph, Partition, all_partitions, bfs_layers, bits,
                      line_graph, quotient)
 
@@ -80,10 +81,10 @@ def _count_maps(h: Graph, g: Graph, mode: int, weighted: bool = False) -> int:
     if weighted:
         if g.weight is None:
             raise ValueError("host has no edge weights")
-        weights = [0] * (g.n * g.n)
+        weights = [{} for _ in range(g.n)]
         for (u, v), w in g.weight.items():
-            weights[u * g.n + v] = w
-            weights[v * g.n + u] = w
+            weights[u][v] = w
+            weights[v][u] = w
     return run_kernel("count_maps", g.n, g.masks, mode, parents, anchor,
                       adist, weights)
 
@@ -214,16 +215,14 @@ def count_edge_disjoint(g: Graph, k: int, kind: str) -> int:
         if k < 3:
             raise ValueError("cycles need k >= 3")
         from .graphs import make_pattern
-        total = count_edginj(make_pattern("C", k), g)
-        assert total % (2 * k) == 0, "cycle orbit size must divide exactly"
-        return total // (2 * k)
+        return exact_quotient(count_edginj(make_pattern("C", k), g), 2 * k,
+                              "cycle orbit size must divide exactly")
     if kind == "path":
         if k < 1:
             raise ValueError("paths need k >= 1")
         from .graphs import make_pattern
-        total = count_edginj(make_pattern("P", k), g)
-        assert total % 2 == 0, "path orbit size must divide exactly"
-        return total // 2
+        return exact_quotient(count_edginj(make_pattern("P", k), g), 2,
+                              "path orbit size must divide exactly")
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -232,9 +231,8 @@ def count_simple_cycles(g: Graph, k: int) -> int:
     if k < 3:
         raise ValueError("cycles need k >= 3")
     from .graphs import make_pattern
-    total = count_emb(make_pattern("C", k), g)
-    assert total % (2 * k) == 0
-    return total // (2 * k)
+    return exact_quotient(count_emb(make_pattern("C", k), g), 2 * k,
+                          "cycle orbit size must divide exactly")
 
 
 def count_edginj_via_partition_sum(h: Graph, g: Graph) -> int:

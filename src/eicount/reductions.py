@@ -11,10 +11,10 @@ are exponential, so hosts stay desk-scale.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb, factorial, perm
 
-from .exact import Polynomial, interpolate, recover_unknowns, required_inputs
+from .exact import (Polynomial, exact_quotient, interpolate, recover_unknowns,
+                    required_inputs)
 from .graphs import Graph, bfs_layers, edge, line_graph, make_pattern
 from .oracles import (count_edginj, count_edginj_weighted, count_matchings,
                       matchings_profile)
@@ -79,10 +79,8 @@ def build_Gr(g: Graph, left, r: int) -> Graph:
         raise ValueError("r must be >= 0")
     n, es, left_ids = _hub_core(g, left, 1 + r)
     es += [(0, s) for s in range(1, r + 1)]
-    out = Graph(n, es, meta={"hub": 0, "specials": tuple(range(1, r + 1)),
-                             "left": left_ids})
-    assert out.m == len(es), "construction must stay simple"
-    return out
+    return Graph(n, es, meta={"hub": 0, "specials": tuple(range(1, r + 1)),
+                              "left": left_ids})
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +201,8 @@ def count_matchings_via_wedges(g: Graph, left, k: int) -> int:
         beta_j = interpolate(pts)
         polys.append(beta_j.compose(Polynomial.x() - n_left))
     a = recover_unknowns(k, polys)
-    alpha_k0 = a[k]
-    denom = 2 ** k * factorial(k)
-    val = Fraction(alpha_k0) / denom
-    assert val.denominator == 1, "all-good wedge count must divide exactly"
-    return int(val)
+    return exact_quotient(a[k], 2 ** k * factorial(k),
+                          "all-good wedge count must divide exactly")
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +216,8 @@ def count_matchings_via_apex(g: Graph, left, k: int) -> int:
     es = list(g.edges) + [(v, apex) for v in range(g.n)]
     gp = Graph(g.n + 1, es)
     total = count_edginj(make_pattern("kK3", k), gp) if k else 1
-    denom = 6 ** k * factorial(k)
-    assert total % denom == 0, "triangle-packing count must divide exactly"
-    return total // denom
+    return exact_quotient(total, 6 ** k * factorial(k),
+                          "triangle-packing count must divide exactly")
 
 
 def build_star_host(g: Graph, left) -> Graph:
@@ -250,10 +244,8 @@ def count_matchings_via_star(g: Graph, left, k: int) -> int:
     pat = make_pattern("SS", k + 1)
     with_tip = count_edginj(pat, host)
     without_tip = count_edginj(pat, host.remove_vertices([host.meta["anchor_end"]]))
-    diff = with_tip - without_tip
-    denom = factorial(k + 1)
-    assert diff % denom == 0, "anchored star count must divide exactly"
-    return diff // denom
+    return exact_quotient(with_tip - without_tip, factorial(k + 1),
+                          "anchored star count must divide exactly")
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +331,7 @@ def cycle_gadget_polynomial_value(g: Graph, k: int, b: int) -> int:
     gadget graph, divided by 12k."""
     gb = build_cycle_gadget(g, b)
     val = count_edginj_weighted(make_pattern("C", 6 * k), gb)
-    assert val % (12 * k) == 0, "gadget cycle count must divide by 12k"
-    return val // (12 * k)
+    return exact_quotient(val, 12 * k, "gadget cycle count must divide by 12k")
 
 
 def count_simple_cycles_via_gadget(g: Graph, k: int) -> int:
@@ -350,11 +341,8 @@ def count_simple_cycles_via_gadget(g: Graph, k: int) -> int:
         raise ValueError("k must be >= 3")
     pts = [(b, cycle_gadget_polynomial_value(g, k, b)) for b in range(k + 1)]
     p = interpolate(pts)
-    assert p.degree <= k, "gadget polynomial degree must stay <= k"
-    lead = p.coeff(k)
-    assert lead.denominator == 1 and int(lead) % 2 == 0, \
-        "leading coefficient must be an even integer"
-    return int(lead) // 2
+    return exact_quotient(p.coeff(k), 2,
+                          "leading coefficient must be an even integer")
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +471,6 @@ def ec_cycles_via_paths(g: Graph, k: int, path_len: int | None = None) -> int:
             sign = (-1) ** len(drop)
             sub = gpi.remove_vertices(drop)
             acc += sign * count_edginj(pat, sub)
-        assert acc % 4 == 0, "probe paths must come in orientation quadruples"
-        total += acc // 4
+        total += exact_quotient(
+            acc, 4, "probe paths must come in orientation quadruples")
     return total

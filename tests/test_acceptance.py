@@ -175,8 +175,9 @@ def test_criterion_5_interpolation():
             for t in range(tot + 1):
                 planted[(t, tot - t)] = rng.randrange(0, 51)
         polys = plant_polynomials(planted, required_inputs(k))
-        assert recover_unknowns(k, polys) == \
-            [planted[(t, k - t)] for t in range(k + 1)]
+        got = recover_unknowns(k, polys)
+        assert got == [planted[(t, k - t)] for t in range(k + 1)]
+        assert all(type(v) is int for v in got)
     for gap in range(0, 5):
         sigs = sigma_expand(gap + 1, 1)
         for i, s in enumerate(sigs):

@@ -204,3 +204,12 @@ class TestEntryPoint:
                                "--host", "builtin:K,3"],
                               capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.strip() == "6"
+
+    def test_verify_all_without_asserts(self):
+        # -O strips every assert: the pipelines must check their divisions
+        # with explicit errors, and still pass every identity
+        proc = subprocess.run([sys.executable, "-O", "-m", "eicount.cli",
+                               "verify", "all"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "180/180 checks passed"

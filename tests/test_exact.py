@@ -15,6 +15,7 @@ from eicount.oracles import count_odd_edge_sets_enum
 class TestFallingFactorial:
     def test_scalar(self):
         assert falling_factorial(5, 2) == 20
+        assert type(falling_factorial(5, 2)) is int
         assert falling_factorial(Fraction(7, 2), 0) == 1
 
     def test_polynomial(self):
@@ -28,6 +29,23 @@ class TestInterpolate:
 
     def test_square(self):
         assert interpolate([(0, 0), (1, 1), (2, 4)]).coeffs == (0, 0, 1)
+
+    def test_integer_nodes_give_int_coefficients(self):
+        rng = random.Random(4)
+        for _ in range(50):
+            coeffs = [rng.randrange(-30, 31) for _ in range(rng.randrange(1, 12))]
+            p = Polynomial(coeffs)
+            start = rng.randrange(-5, 6)
+            pts = [(x, p(x)) for x in range(start, start + len(coeffs) + 2)]
+            got = interpolate(pts)
+            assert got == p
+            assert all(type(c) is int for c in got.coeffs)
+
+    def test_non_integral_coefficients_are_fractions(self):
+        # C(x, 2) is integer-valued at every integer but not integral
+        p = interpolate([(0, 0), (1, 0), (2, 1)])
+        assert p.coeffs == (0, Fraction(-1, 2), Fraction(1, 2))
+        assert [type(c) for c in p.coeffs] == [int, Fraction, Fraction]
 
     def test_duplicate_x(self):
         with pytest.raises(ValueError):
@@ -43,7 +61,82 @@ class TestInterpolate:
             assert interpolate(pts) == p
 
 
+def gauss_jordan(matrix, rhs):
+    """Reference solver: plain Gauss-Jordan elimination over Fraction."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(b)]
+         for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+def rand_entry(rng, rational):
+    if rational and rng.random() < 0.5:
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+    return rng.randrange(-6, 7)
+
+
 class TestSolve:
+    def test_matches_gauss_jordan(self):
+        rng = random.Random(5)
+        solved = 0
+        for trial in range(400):
+            n = rng.randrange(1, 9)
+            rational = trial % 2 == 1
+            a = [[rand_entry(rng, rational) for _ in range(n)]
+                 for _ in range(n)]
+            b = [rand_entry(rng, rational) for _ in range(n)]
+            try:
+                want = gauss_jordan(a, b)
+            except ValueError:
+                with pytest.raises(ValueError, match="singular matrix"):
+                    solve_rational(a, b)
+                continue
+            got = solve_rational(a, b)
+            assert got == want
+            assert all(type(x) is int or x.denominator > 1 for x in got)
+            solved += 1
+        assert solved > 300
+
+    def test_integral_solution_stays_int(self):
+        rng = random.Random(6)
+        for _ in range(100):
+            n = rng.randrange(1, 9)
+            x = [rng.randrange(-50, 51) for _ in range(n)]
+            while True:
+                a = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
+                try:
+                    gauss_jordan(a, [0] * n)
+                    break
+                except ValueError:
+                    continue
+            b = [sum(c * v for c, v in zip(row, x)) for row in a]
+            got = solve_rational(a, b)
+            assert got == x and all(type(v) is int for v in got)
+
+    def test_singular_systems_raise(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            n = rng.randrange(2, 9)
+            a = [[rand_entry(rng, True) for _ in range(n)] for _ in range(n - 1)]
+            # last row: a random combination of the others
+            mix = [rng.randrange(-3, 4) for _ in range(n - 1)]
+            a.append([sum(m * row[j] for m, row in zip(mix, a))
+                      for j in range(n)])
+            rng.shuffle(a)
+            with pytest.raises(ValueError, match="singular matrix"):
+                solve_rational(a, [rand_entry(rng, True) for _ in range(n)])
+
     def test_identity(self):
         assert solve_rational([[1, 0], [0, 1]], [3, 4]) == [3, 4]
 
@@ -116,6 +209,7 @@ class TestRecovery:
                 for t in range(tot + 1):
                     a[(t, tot - t)] = rng.randrange(0, 51)
             ps = plant_polynomials(a, required_inputs(k))
+            assert all(type(c) is int for p in ps for c in p.coeffs)
             got = recover_unknowns(k, ps)
             assert got == [a[(t, k - t)] for t in range(k + 1)]
 

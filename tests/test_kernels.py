@@ -91,6 +91,22 @@ def test_distance_pruning_memory_is_linear_in_the_host():
     assert peak < 4 * 2**20
 
 
+def test_weighted_oracle_memory_is_linear_in_the_host():
+    n = 1000
+    weight = {(i, i + 1): 1 + i % 3 for i in range(n - 1)}
+    g = Graph(n, list(weight), weight=weight)
+    tracemalloc.start()
+    try:
+        got = O.count_edginj_weighted(make_pattern("P", 2), g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an ordered pair of distinct edges at a middle vertex weighs w1 * w2
+    assert got == 2 * sum(weight[(i - 1, i)] * weight[(i, i + 1)]
+                          for i in range(1, n - 1))
+    assert peak < 4 * 2**20
+
+
 def test_count_maps_past_63_vertices():
     g = Graph(70, [(i, i + 1) for i in range(69)])
     h = make_pattern("P", 2)
