@@ -26,7 +26,7 @@ _DEFAULTS = {
     "SEARCH_VOLUME_CAP": 2 * 10**9,
     # max |V(G)| for brute-force isomorphism search
     "ISO_CAP": 24,
-    # max product of color-class sizes in colorful Holant evaluation
+    # max colorful assignments enumerated by col_holant and col_sig
     "HOLANT_CAP": 2 * 10**6,
 }
 

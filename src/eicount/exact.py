@@ -245,16 +245,23 @@ def _sigma_expand_cached(d: int):
 # ---------------------------------------------------------------------------
 # moment recovery
 
-_RETRY_SHIFTS = 2
-
-
 def required_inputs(k: int) -> int:
     """R(k): the largest polynomial index consulted when recovering the
     level-k unknowns.  The recovery runs level-by-level up to level 3k (the
     highest moment the final Vandermonde step needs) and at level L reads
-    coefficients of the polynomials with indices ceil(L/2) .. L, plus up to
-    ``_RETRY_SHIFTS`` spare indices for singular-system retries."""
-    return 3 * k + _RETRY_SHIFTS
+    coefficients of the polynomials with indices ceil(L/2) .. L."""
+    return 3 * k
+
+
+def _moment_matrix(level: int):
+    """The level-L moment system: row r (for r = ceil(L/2) .. L) holds
+    C(2(r-j), L-2j) * C(r, j) for j = 0 .. floor(L/2).
+
+    It depends only on L and is nonsingular for every L <= 60 (k <= 20),
+    which the tests check, so the recovery needs no fallback nodes."""
+    unknowns = level // 2 + 1
+    return [[comb(2 * (r - j), level - 2 * j) * comb(r, j) for j in range(unknowns)]
+            for r in range((level + 1) // 2, level + 1)]
 
 
 def recover_unknowns(k: int, polys):
@@ -265,10 +272,10 @@ def recover_unknowns(k: int, polys):
     given the coefficient vectors of P_0 .. P_R with R >= required_inputs(k).
 
     Works level by level: the level-L moments I_{j,i} = sum_t a_{t,j-t} t^i
-    with 2j + i = L are read off the y^{2r-L} coefficients of several P_r
-    after subtracting the contribution of lower-level moments, then the
-    level-k unknowns are extracted from I_{k,0..k} through a Vandermonde
-    solve.
+    with 2j + i = L are read off the y^{2r-L} coefficients of P_r for
+    r = ceil(L/2) .. L after subtracting the contribution of lower-level
+    moments (one solve against :func:`_moment_matrix`), then the level-k
+    unknowns are extracted from I_{k,0..k} through a Vandermonde solve.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -278,36 +285,22 @@ def recover_unknowns(k: int, polys):
     moments = {(0, 0): polys[0].coeff(0)}  # P_0(y) is the constant a_{0,0}
     for level in range(1, 3 * k + 1):
         unknowns = level // 2 + 1  # I_{j, level-2j} for j = 0 .. floor(level/2)
-        for shift in range(_RETRY_SHIFTS + 1):
-            nodes = [(level + 1) // 2 + shift + j for j in range(unknowns)]
-            if nodes[-1] >= len(polys):
-                raise ValueError("not enough input polynomials")
-            matrix, rhs = [], []
-            for r in nodes:
-                total = polys[r].coeff(2 * r - level)
-                known = 0
-                row = []
-                for j in range(unknowns):
-                    i = level - 2 * j
-                    sig = _sigma_expand_cached(2 * (r - j))[i]
-                    # all but the leading t^i term of sigma_i hit lower levels
-                    for jj in range(i):
-                        c = sig.coeff(jj)
-                        if c:
-                            known += comb(r, j) * c * moments[(j, jj)]
-                    row.append(comb(2 * (r - j), i) * comb(r, j))
-                sign = -1 if level % 2 else 1
-                rhs.append(sign * (total - known))
-                matrix.append(row)
-            try:
-                sol = solve_rational(matrix, rhs)
-            except ValueError:
-                continue  # singular: shift all nodes up and retry
-            for j, val in enumerate(sol):
-                moments[(j, level - 2 * j)] = val
-            break
-        else:
-            raise ValueError(f"singular moment system at level {level}")
+        sign = -1 if level % 2 else 1
+        rhs = []
+        for r in range((level + 1) // 2, level + 1):
+            known = 0
+            for j in range(unknowns):
+                i = level - 2 * j
+                sig = _sigma_expand_cached(2 * (r - j))[i]
+                # all but the leading t^i term of sigma_i hit lower levels
+                for jj in range(i):
+                    c = sig.coeff(jj)
+                    if c:
+                        known += comb(r, j) * c * moments[(j, jj)]
+            rhs.append(sign * (polys[r].coeff(2 * r - level) - known))
+        sol = solve_rational(_moment_matrix(level), rhs)
+        for j, val in enumerate(sol):
+            moments[(j, level - 2 * j)] = val
     vander = [[t ** i for t in range(k + 1)] for i in range(k + 1)]
     return solve_rational(vander, [moments[(k, i)] for i in range(k + 1)])
 

@@ -11,9 +11,10 @@ boundary.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from math import prod
 
 from .config import check_cap
+from .exact import exact_quotient
 from .graphs import Graph
 from .oracles import count_matchings
 
@@ -22,7 +23,7 @@ class HwAtMostOne:
     """Signature [hw(x) <= 1]: at most one incident edge picked."""
 
     def value(self, ones, annot):
-        return Fraction(1 if len(ones) <= 1 else 0)
+        return int(len(ones) <= 1)
 
     def __repr__(self):
         return "HW<=1"
@@ -38,9 +39,9 @@ class AnnotationEq:
 
     def value(self, ones, annot):
         if len(ones) != 2:
-            return Fraction(0)
+            return 0
         a, b = [annot(r) for r in ones]
-        return Fraction(1 if a == b else 0)
+        return int(a == b)
 
     def __repr__(self):
         return "ANNOT-EQ"
@@ -50,10 +51,10 @@ class TableSignature:
     """Explicit truth table over subsets of the incident edges."""
 
     def __init__(self, table):
-        self.table = {frozenset(s): Fraction(v) for s, v in table.items()}
+        self.table = {frozenset(s): v for s, v in table.items()}
 
     def value(self, ones, annot):
-        return self.table.get(frozenset(ones), Fraction(0))
+        return self.table.get(frozenset(ones), 0)
 
     def __repr__(self):
         return f"Table({len(self.table)} entries)"
@@ -196,35 +197,46 @@ def strip_signatures(sg: SignatureGraph):
     return Graph(sg.n, pairs, color=color, k=len(seen)), seen
 
 
-def col_holant(sg: SignatureGraph) -> Fraction:
+def _colorful_sum(sg: SignatureGraph, lit=frozenset()):
+    """The enumeration behind :func:`col_holant` and :func:`col_sig`.  The
+    dangling edges with a label in ``lit`` are fixed to 1, so their colors
+    take no internal edge (a color lit twice admits no assignment); all
+    other dangling edges are 0."""
+    choices = {c: [] for c in sg.colors}
+    for i, (_, _, c, _) in enumerate(sg.edges):
+        choices[c].append(("e", i))
+    lit_refs = {}
+    for label in lit:
+        lit_refs.setdefault(sg.dangling[label - 1][1], []).append(("d", label - 1))
+    for c, refs in lit_refs.items():
+        choices[c] = refs if len(refs) == 1 else []
+    lists = [choices[c] for c in sg.colors]
+    volume = prod(len(opts) for opts in lists)
+    check_cap("HOLANT_CAP", volume)
+    if volume == 0:
+        return 0
+    inc = [frozenset(sg.incident(v)) for v in range(sg.n)]
+    total = 0
+    for pick in itertools.product(*lists):
+        chosen = frozenset(pick)
+        term = 1
+        for v in range(sg.n):
+            term *= sg.sigs[v].value(inc[v] & chosen, sg.ref_annot)
+            if term == 0:
+                break
+        total += term
+    return total
+
+
+def col_holant(sg: SignatureGraph):
     """Sum over colorful assignments (exactly one edge of each declared
     color) of the product of vertex signatures."""
     if sg.dangling:
         raise ValueError("ColHolant is defined for dangling-free graphs")
-    by_color = {c: [] for c in sg.colors}
-    for i, (_, _, c, _) in enumerate(sg.edges):
-        by_color[c].append(i)
-    volume = 1
-    for c in sg.colors:
-        volume *= len(by_color[c])
-    check_cap("HOLANT_CAP", volume)
-    if volume == 0:
-        return Fraction(0)
-    inc = [sg.incident(v) for v in range(sg.n)]
-    total = Fraction(0)
-    for pick in itertools.product(*(by_color[c] for c in sg.colors)):
-        chosen = set(pick)
-        prod = Fraction(1)
-        for v in range(sg.n):
-            ones = frozenset(r for r in inc[v] if r[0] == "e" and r[1] in chosen)
-            prod *= sg.sigs[v].value(ones, sg.ref_annot)
-            if prod == 0:
-                break
-        total += prod
-    return total
+    return _colorful_sum(sg)
 
 
-def col_sig(gamma: SignatureGraph, x) -> Fraction:
+def col_sig(gamma: SignatureGraph, x):
     """Boundary signature of a matchgate: sum over colorful assignments
     extending the dangling-edge assignment ``x`` (a set of 1-labels)."""
     if not gamma.dangling:
@@ -234,37 +246,7 @@ def col_sig(gamma: SignatureGraph, x) -> Fraction:
     ones_d = frozenset(int(l) for l in x)
     if any(not 1 <= l <= len(gamma.dangling) for l in ones_d):
         raise ValueError("bad dangling label")
-    by_color_int = {c: [] for c in gamma.colors}
-    for i, (_, _, c, _) in enumerate(gamma.edges):
-        by_color_int[c].append(i)
-    by_color_d = {c: [] for c in gamma.colors}
-    for i, (_, c, _) in enumerate(gamma.dangling):
-        by_color_d[c].append(i + 1)
-    choice_lists = []
-    for c in gamma.colors:
-        lit = sum(1 for l in by_color_d[c] if l in ones_d)
-        if lit > 1:
-            return Fraction(0)
-        if lit == 1:
-            choice_lists.append([None])
-        else:
-            if not by_color_int[c]:
-                return Fraction(0)
-            choice_lists.append(by_color_int[c])
-    inc = [gamma.incident(v) for v in range(gamma.n)]
-    total = Fraction(0)
-    for pick in itertools.product(*choice_lists):
-        chosen = {p for p in pick if p is not None}
-        prod = Fraction(1)
-        for v in range(gamma.n):
-            ones = frozenset(
-                r for r in inc[v]
-                if (r[0] == "e" and r[1] in chosen) or (r[0] == "d" and r[1] + 1 in ones_d))
-            prod *= gamma.sigs[v].value(ones, gamma.ref_annot)
-            if prod == 0:
-                break
-        total += prod
-    return total
+    return _colorful_sum(gamma, ones_d)
 
 
 def admissible_assignments(sg: SignatureGraph, v):
@@ -349,18 +331,18 @@ def expand_combined(omega: SignatureGraph, decomposition):
         f = omega.sigs[w]
         for ones in admissible_assignments(omega, w):
             want = f.value(ones, omega.ref_annot)
-            got = sum((Fraction(c) * sig.value(ones, omega.ref_annot)
-                       for c, sig in decomposition[w]), Fraction(0))
+            got = sum(c * sig.value(ones, omega.ref_annot)
+                      for c, sig in decomposition[w])
             if want != got:
                 raise ValueError(
                     f"decomposition at vertex {w} fails on assignment {set(ones)}")
     out = []
     options = [decomposition[w] for w in marked]
     for combo in itertools.product(*options):
-        coef = Fraction(1)
+        coef = 1
         sg = omega
         for w, (c, sig) in zip(marked, combo):
-            coef *= Fraction(c)
+            coef *= c
             sg = sg.replace_signature(w, sig)
         out.append((coef, sg))
     return out
@@ -419,7 +401,7 @@ def gamma_coefficients(m: int):
     """Coefficients combining the two matchgate variants back into the
     annotation-equality signature: (m^2 - 3m + 3) for variant 1, -1 for
     variant 2."""
-    return Fraction(m * m - 3 * m + 3), Fraction(-1)
+    return m * m - 3 * m + 3, -1
 
 
 def subdivision_terms(g: Graph):
@@ -438,7 +420,7 @@ def subdivision_terms(g: Graph):
               for i in range(1, k + 1)}
     terms = []
     for theta in itertools.product((0, 1), repeat=k):
-        coef = Fraction(1)
+        coef = 1
         sg = omega
         # insert at the highest w_i first, so the remaining w ids (all
         # smaller) survive the vertex compaction untouched
@@ -459,13 +441,9 @@ def subdivision_terms(g: Graph):
 def colmatch_via_subdivision(g: Graph) -> int:
     """Colorful matching count recovered from colorful matching counts of
     subgraphs of the 3-subdivision, via the combined-signature expansion."""
-    terms = subdivision_terms(g)
-    total = Fraction(0)
-    for coef, query in terms:
-        total += coef * count_matchings(query, query.k, colorful=True)
-    if total.denominator != 1:
-        raise ArithmeticError("colorful matching count must be an integer")
-    return int(total)
+    total = sum(coef * count_matchings(query, query.k, colorful=True)
+                for coef, query in subdivision_terms(g))
+    return exact_quotient(total, 1, "colorful matching count must be an integer")
 
 
 def colmatch_via_uncolored(g: Graph) -> int:

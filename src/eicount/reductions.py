@@ -182,7 +182,8 @@ def count_matchings_via_wedges(g: Graph, left, k: int) -> int:
     edge-injective wedge-packing counts on the hub graphs G^r.
 
     For each packing size j the counts over r form a polynomial of degree
-    <= 2j; evaluating at r = 0..2j and interpolating, then shifting to the
+    <= 2j; evaluating at r = 0..2j+1 and interpolating (the extra point
+    checks the degree, so a single wrong count raises), then shifting to the
     variable y = deg(hub) = n_left + r, produces exactly the polynomial
     family the moment recovery expects.  The answer is the all-good count
     divided by 2^k k!.
@@ -192,13 +193,15 @@ def count_matchings_via_wedges(g: Graph, left, k: int) -> int:
     left = sorted(set(left))
     g0 = build_Gr(g, left, 0)
     n_left = len(left)
-    rmax = required_inputs(k)
     profile, n_hub = _hub_profile(g0)
     polys = []
-    for j in range(rmax + 1):
+    for j in range(required_inputs(k) + 1):
         pts = [(r, _packings_from_profile(profile, n_hub, r, j))
-               for r in range(2 * j + 1)]
+               for r in range(2 * j + 2)]
         beta_j = interpolate(pts)
+        if beta_j.degree > 2 * j:
+            raise ArithmeticError(f"wedge-packing counts for j={j} are not "
+                                  f"a polynomial of degree <= {2 * j}")
         polys.append(beta_j.compose(Polynomial.x() - n_left))
     a = recover_unknowns(k, polys)
     return exact_quotient(a[k], 2 ** k * factorial(k),

@@ -1,13 +1,16 @@
 import random
+import re
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from eicount.exact import (Polynomial, falling_factorial, gf2_solution_count,
-                           interpolate, multinomial, plant_polynomials,
-                           recover_unknowns, required_inputs, sigma_expand,
-                           solve_rational)
+import eicount
+from eicount.exact import (Polynomial, _moment_matrix, falling_factorial,
+                           gf2_solution_count, interpolate, multinomial,
+                           plant_polynomials, recover_unknowns,
+                           required_inputs, sigma_expand, solve_rational)
 from eicount.graphs import make_pattern
 from eicount.oracles import count_odd_edge_sets_enum
 
@@ -217,6 +220,18 @@ class TestRecovery:
         with pytest.raises(ValueError):
             recover_unknowns(2, plant_polynomials({(0, 0): 1}, 3))
 
+    def test_moment_matrix_nonsingular_through_level_60(self):
+        # the level-L system has entries C(2(r-j), L-2j) * C(r, j) at nodes
+        # r = ceil(L/2) + j, so it depends on L alone; nonsingular through
+        # L = 60 (k <= 20) means the recovery never needs other nodes
+        for level in range(1, 61):
+            unknowns = level // 2 + 1
+            nodes = [(level + 1) // 2 + j for j in range(unknowns)]
+            matrix = [[comb(2 * (r - j), level - 2 * j) * comb(r, j)
+                       for j in range(unknowns)] for r in nodes]
+            assert _moment_matrix(level) == matrix
+            assert solve_rational(matrix, [0] * unknowns) == [0] * unknowns
+
     def test_moment_matrix_degrees_distinct(self):
         # column polynomials of the per-level system have pairwise distinct
         # degrees level+1-i, which is what makes the system solvable
@@ -292,3 +307,13 @@ class TestMultinomial:
         assert multinomial(4, [2, 2]) == 6
         assert multinomial(4, [2]) == 6
         assert multinomial(3, [2, 2]) == 0
+
+
+def test_only_exact_imports_fractions():
+    # every other module counts in ints; a Fraction can only come out of
+    # exact.py, where a value is truly non-integral
+    importers = sorted(
+        p.name for p in Path(eicount.__file__).parent.glob("*.py")
+        if re.search(r"^\s*(from fractions import|import fractions)",
+                     p.read_text(), re.M))
+    assert importers == ["exact.py"]

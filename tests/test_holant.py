@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from eicount import oracles as O
+from eicount.config import CapExceeded
 from eicount.graphs import Graph
 from eicount.holant import (ANNOT_EQ, HW_LEQ1, SignatureGraph, TableSignature,
                             admissible_assignments, build_gamma,
@@ -203,6 +204,28 @@ class TestOmegaBip:
         for g in colored_corpus(seed=15, count=8):
             assert col_holant(build_omega_bip(g)) == \
                 O.count_matchings(g, g.k, colorful=True)
+
+
+class TestIntValues:
+    def test_verify_corpus_evaluates_in_ints(self):
+        from eicount.verify import _colored_corpus
+        for _, g in _colored_corpus():
+            assert type(col_holant(build_match_holant(g))) is int
+            assert type(col_holant(build_omega_bip(g))) is int
+            assert type(colmatch_via_subdivision(g)) is int
+            for i, cls in g.color_classes().items():
+                for variant in (1, 2):
+                    gamma = build_gamma(i, cls, variant)
+                    for x in ((), (1,), (1, 2)):
+                        assert type(col_sig(gamma, x)) is int
+
+    def test_col_sig_obeys_holant_cap(self, monkeypatch):
+        # colors (1,3) and (1,4) leave 4 x 4 assignments to enumerate
+        gamma = build_gamma(1, [("e", j) for j in range(4)], 2)
+        assert col_sig(gamma, {1, 2}) == 6
+        monkeypatch.setenv("EICOUNT_HOLANT_CAP", "10")
+        with pytest.raises(CapExceeded):
+            col_sig(gamma, {1, 2})
 
 
 class TestPipelines:

@@ -32,8 +32,32 @@ def skew_first_call(monkeypatch, module, name, delta=1):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_wedge_pipeline(monkeypatch, k):
     skew_first_call(monkeypatch, reductions, "_packings_from_profile")
-    with pytest.raises(ArithmeticError, match="all-good wedge count"):
+    with pytest.raises(ArithmeticError, match="wedge-packing counts"):
         reductions.count_matchings_via_wedges(C6, C6_LEFT, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_wedge_pipeline_checks_every_count(monkeypatch, k):
+    # beta_j is interpolated through 2j + 2 counts for j = 0..3k, so one
+    # count off by one anywhere lifts its degree past 2j
+    real = reductions._packings_from_profile
+    calls = []
+    skew = {"at": 0}
+
+    def skewed(*args):
+        calls.append(args)
+        return real(*args) + (len(calls) == skew["at"])
+
+    monkeypatch.setattr(reductions, "_packings_from_profile", skewed)
+    assert reductions.count_matchings_via_wedges(C6, C6_LEFT, k) == \
+        oracles.count_matchings(C6, k)
+    n_calls = len(calls)
+    assert n_calls == (3 * k + 1) * (3 * k + 2)
+    for at in range(1, n_calls + 1):
+        calls.clear()
+        skew["at"] = at
+        with pytest.raises(ArithmeticError):
+            reductions.count_matchings_via_wedges(C6, C6_LEFT, k)
 
 
 @pytest.mark.parametrize("k", [1, 2])
