@@ -18,7 +18,8 @@ from math import factorial
 
 from .config import CapExceeded
 from .exact import multinomial
-from .graphs import Graph, Partition, minimum_vertex_cover, quotient
+from .graphs import (Graph, Partition, all_partitions, bits,
+                     minimum_vertex_cover, quotient)
 from .oracles import count_emb
 
 
@@ -85,7 +86,8 @@ def color_of(v, rho_c: CoverSubPartition, h: Graph):
     """The set of rho_c blocks adjacent to the free vertex v."""
     if v in rho_c.domain:
         raise ValueError(f"vertex {v} is not free")
-    return frozenset(b for b in rho_c.blocks if h.adj[v] & set(b))
+    nbrs = h.masks[v]
+    return frozenset(b for b in rho_c.blocks if any(nbrs >> u & 1 for u in b))
 
 
 def _free_colors(h: Graph, rho_c: CoverSubPartition):
@@ -128,7 +130,6 @@ def enumerate_classes(h: Graph, cover):
     for extra in range(max_extra + 1):
         for xs in itertools.combinations(others, extra):
             d = sorted(cover | set(xs))
-            from .graphs import all_partitions
             for blocks in all_partitions(d):
                 if any(not (set(b) & cover) for b in blocks):
                     continue
@@ -240,60 +241,54 @@ def count_emb_small_vc(f: Graph, g: Graph, bound: int = 6) -> int:
     cover = sorted(minimum_vertex_cover(f))
     if len(cover) > bound:
         raise CapExceeded(f"cover size {len(cover)} exceeds bound {bound}")
-    free = [v for v in range(f.n) if v not in set(cover)]
     class_sizes = {}
-    for v in free:
-        key = frozenset(f.adj[v])
-        class_sizes[key] = class_sizes.get(key, 0) + 1
-    classes = sorted(class_sizes.items(), key=lambda kv: sorted(kv[0]))
+    for v in range(f.n):
+        if v not in cover:
+            class_sizes[f.masks[v]] = class_sizes.get(f.masks[v], 0) + 1
+    classes = sorted(class_sizes.items(), key=lambda kv: list(bits(kv[0])))
     total = 0
     image = {}
 
-    def place(i):
+    def place(i, free):
         nonlocal total
         if i == len(cover):
-            total += _independent_count(classes, image, g)
+            total += _independent_count(classes, image, free, g)
             return
         v = cover[i]
-        for w in range(g.n):
-            if w in image.values():
-                continue
-            ok = True
-            for u, x in image.items():
-                if f.has_edge(v, u) and not g.has_edge(w, x):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                place(i + 1)
-                del image[v]
+        cand = free
+        for u, x in image.items():
+            if f.masks[v] >> u & 1:
+                cand &= g.masks[x]
+        for w in bits(cand):
+            image[v] = w
+            place(i + 1, free & ~(1 << w))
+            del image[v]
 
-    place(0)
+    place(0, (1 << g.n) - 1)
     return total
 
 
-def _independent_count(classes, image, g: Graph) -> int:
+def _independent_count(classes, image, free, g: Graph) -> int:
     """Count injective placements of the independent pattern vertices.
 
-    classes: [(required cover-neighborhood, multiplicity)]; image: the fixed
-    cover embedding.  Host vertices are partitioned into cells by which
+    classes: [(bitmask of the required cover-neighborhood, multiplicity)];
+    image: the fixed cover embedding; free: bitmask of the host vertices
+    outside it.  Host vertices are partitioned into cells by which
     requirement sets they satisfy, and the count is a sum over all ways to
     split each class across its feasible cells of multinomial coefficients
     times falling factorials of the cell sizes.
     """
-    used = set(image.values())
     cand_sets = []
     for req, _ in classes:
-        targets = [image[u] for u in req]
-        cand = {w for w in range(g.n) if w not in used
-                and all(g.has_edge(w, t) for t in targets)}
+        cand = free
+        for u in bits(req):
+            cand &= g.masks[image[u]]
         cand_sets.append(cand)
-    # cells of the Venn diagram of the candidate sets
+    # cells of the Venn diagram of the candidate sets; bit i of a cell's
+    # key is set iff the cell lies in candidate set i
     cells = {}
-    for w in range(g.n):
-        if w in used:
-            continue
-        sig = frozenset(i for i, cs in enumerate(cand_sets) if w in cs)
+    for w in bits(free):
+        sig = sum(1 << i for i, cs in enumerate(cand_sets) if cs >> w & 1)
         cells[sig] = cells.get(sig, 0) + 1
     cell_list = list(cells.items())
     loads = [0] * len(cell_list)
@@ -309,7 +304,7 @@ def _independent_count(classes, image, g: Graph) -> int:
             total += val
             return
         req_i, mult = classes[ci]
-        feas = [j for j, (sig, size) in enumerate(cell_list) if ci in sig]
+        feas = [j for j, (sig, size) in enumerate(cell_list) if sig >> ci & 1]
 
         def split(fi, left, ways):
             if fi == len(feas):
@@ -368,7 +363,6 @@ def realized_classes(h: Graph, cover):
 def count_edge_injective_partitions(h: Graph) -> int:
     """Ground truth for the class bookkeeping: the number of edge-injective,
     loop-free vertex partitions of h, by direct enumeration."""
-    from .graphs import all_partitions
     total = 0
     for blocks in all_partitions(range(h.n)):
         q = quotient(h, Partition(h.n, blocks))

@@ -45,14 +45,16 @@ def bfs_layers(masks, sources: int):
 class Graph:
     """Loop-free simple graph, optionally edge-colored and edge-weighted.
 
+    The only neighbour structure is ``masks``, the cached per-vertex
+    neighbour bitmasks; ``degree`` and ``has_edge`` read them.
+
     color maps every colored edge to an id in 1..k (k = declared color
     count); weight, if present, must be defined for every edge and be a
     nonnegative integer.  ``meta`` carries anchor-vertex bookkeeping for
     gadget constructions and never takes part in equality.
     """
 
-    __slots__ = ("n", "edges", "color", "weight", "k", "meta", "_adj",
-                 "_masks")
+    __slots__ = ("n", "edges", "color", "weight", "k", "meta", "_masks")
 
     def __init__(self, n, edges, color=None, weight=None, k=None, meta=None):
         self.n = int(n)
@@ -86,22 +88,11 @@ class Graph:
                 raise ValueError("negative edge weight")
         self.weight = weight
         self.meta = dict(meta) if meta else {}
-        self._adj = None
         self._masks = None
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @property
-    def adj(self):
-        if self._adj is None:
-            a = [set() for _ in range(self.n)]
-            for u, v in self.edges:
-                a[u].add(v)
-                a[v].add(u)
-            self._adj = a
-        return self._adj
 
     @property
     def masks(self) -> tuple:
@@ -116,10 +107,10 @@ class Graph:
         return self._masks
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return bool(self.masks[u] >> v & 1)
 
     def color_classes(self) -> dict:
         """Color id -> list of edges (every declared color, even if empty)."""
@@ -421,15 +412,17 @@ def make_pattern(kind: str, *params: int) -> Graph:
 
 def line_graph(g: Graph) -> Graph:
     """Vertex i of the result is the i-th edge of ``g`` in sorted edge order;
-    two vertices are adjacent iff the edges share an endpoint."""
+    two vertices are adjacent iff the edges share an endpoint.
+
+    Pairs are joined within each vertex's incident-edge list, so the work
+    is O(sum of squared degrees); two distinct edges of a simple graph
+    share at most one endpoint, so no pair is produced twice."""
     es = g.edges
-    out = []
-    for i in range(len(es)):
-        u1, v1 = es[i]
-        for j in range(i + 1, len(es)):
-            u2, v2 = es[j]
-            if u1 == u2 or u1 == v2 or v1 == u2 or v1 == v2:
-                out.append((i, j))
+    incident = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(es):
+        incident[u].append(i)
+        incident[v].append(i)
+    out = [pair for at in incident for pair in itertools.combinations(at, 2)]
     return Graph(len(es), out, meta={"edge_of_vertex": es})
 
 

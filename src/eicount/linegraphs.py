@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .exact import gf2_solution_count
-from .graphs import Graph, edge
+from .graphs import Graph, bits, edge
 from .oracles import count_odd_edge_sets_enum, count_perfect_matchings
 
 
@@ -53,7 +53,7 @@ def decompose_3regular_line(g: Graph):
         if covered[v]:
             continue
         found = None
-        nbrs = sorted(u for u in g.adj[v] if not covered[u])
+        nbrs = [u for u in bits(g.masks[v]) if not covered[u]]
         for a, b in itertools.combinations(nbrs, 2):
             if g.has_edge(a, b):
                 found = (v, a, b)

@@ -17,7 +17,7 @@ from ._kernels_py import MODE_EDGINJ, MODE_EMB, MODE_HOM
 from .config import CapExceeded, check_cap, cap
 from .exact import exact_quotient
 from .graphs import (Graph, Partition, all_partitions, bfs_layers, bits,
-                     line_graph, quotient)
+                     line_graph, make_pattern, quotient)
 
 
 def _pattern_encoding(h: Graph):
@@ -25,19 +25,19 @@ def _pattern_encoding(h: Graph):
     an anchor (first vertex of the component) plus pattern distance to it,
     used for distance-based pruning."""
     order = []
-    placed = set()
+    placed = 0
     while len(order) < h.n:
         best = None
         for v in range(h.n):
-            if v in placed:
+            if placed >> v & 1:
                 continue
-            key = (len(h.adj[v] & placed), h.degree(v), -v)
+            key = ((h.masks[v] & placed).bit_count(), h.degree(v), -v)
             if best is None or key > best[0]:
                 best = (key, v)
         order.append(best[1])
-        placed.add(best[1])
+        placed |= 1 << best[1]
     pos_of = {v: i for i, v in enumerate(order)}
-    parents = [tuple(sorted(pos_of[u] for u in h.adj[v] if pos_of[u] < i))
+    parents = [tuple(sorted(pos_of[u] for u in bits(h.masks[v]) if pos_of[u] < i))
                for i, v in enumerate(order)]
     anchor = [-1] * h.n
     adist = [0] * h.n
@@ -214,13 +214,11 @@ def count_edge_disjoint(g: Graph, k: int, kind: str) -> int:
     if kind == "cycle":
         if k < 3:
             raise ValueError("cycles need k >= 3")
-        from .graphs import make_pattern
         return exact_quotient(count_edginj(make_pattern("C", k), g), 2 * k,
                               "cycle orbit size must divide exactly")
     if kind == "path":
         if k < 1:
             raise ValueError("paths need k >= 1")
-        from .graphs import make_pattern
         return exact_quotient(count_edginj(make_pattern("P", k), g), 2,
                               "path orbit size must divide exactly")
     raise ValueError(f"unknown kind {kind!r}")
@@ -230,7 +228,6 @@ def count_simple_cycles(g: Graph, k: int) -> int:
     """Simple (vertex-distinct) k-cycles, via the embedding oracle."""
     if k < 3:
         raise ValueError("cycles need k >= 3")
-    from .graphs import make_pattern
     return exact_quotient(count_emb(make_pattern("C", k), g), 2 * k,
                           "cycle orbit size must divide exactly")
 

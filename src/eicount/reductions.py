@@ -15,7 +15,7 @@ from math import comb, factorial, perm
 
 from .exact import (Polynomial, exact_quotient, interpolate, recover_unknowns,
                     required_inputs)
-from .graphs import Graph, bfs_layers, edge, line_graph, make_pattern
+from .graphs import Graph, bfs_layers, bits, edge, line_graph, make_pattern
 from .oracles import (count_edginj, count_edginj_weighted, count_matchings,
                       matchings_profile)
 
@@ -39,7 +39,7 @@ def _validate_bipartite(g: Graph, left):
         if g.degree(v) > 2:
             raise ValueError(f"right vertex {v} has degree > 2")
     for a, b in itertools.combinations(left, 2):
-        if len(g.adj[a] & g.adj[b]) > 1:
+        if (g.masks[a] & g.masks[b]).bit_count() > 1:
             raise ValueError(f"left vertices {a},{b} share two neighbors")
     return left, right
 
@@ -58,7 +58,7 @@ def _hub_core(g: Graph, left, first: int):
     newid = {v: first + i for i, v in enumerate(left + keep_right)}
     es = [(0, newid[v]) for v in left]
     for v in right:
-        nbrs = sorted(g.adj[v])
+        nbrs = list(bits(g.masks[v]))
         if g.degree(v) == 2:
             es.append(edge(newid[nbrs[0]], newid[nbrs[1]]))
         elif g.degree(v) == 1:
@@ -92,7 +92,7 @@ def wedge_classification(g0: Graph, k: int):
     bad).  Returns a dict (t, g, b) -> count."""
     hub = g0.meta.get("hub", 0)
     counts = {}
-    edges_at = [sorted(g0.adj[v]) for v in range(g0.n)]
+    edges_at = [list(bits(g0.masks[v])) for v in range(g0.n)]
     used = set()
 
     def rec(i, t, gd, b):
@@ -411,7 +411,7 @@ def gadget_walks(i: int):
         if v == b:
             out.append((path_len, frozenset(used)))
             return
-        for u in gad.adj[v]:
+        for u in bits(gad.masks[v]):
             e = edge(v, u)
             if e in used:
                 continue
@@ -431,7 +431,7 @@ def longest_edge_disjoint_cycle(g: Graph) -> int:
         nonlocal best
         if v == start and length > 0:
             best = max(best, length)
-        for u in g.adj[v]:
+        for u in bits(g.masks[v]):
             e = edge(v, u)
             if e in used:
                 continue

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import comb, factorial
 
 from . import eihom, holant, linegraphs, oracles, reductions
-from .graphs import Graph, line_graph, make_pattern, minimum_vertex_cover
+from .exact import falling_factorial
+from .graphs import (Graph, line_graph, make_pattern, minimum_vertex_cover,
+                     subdivide, vertex_cover_number)
 
 SEED = 20250810
 
@@ -143,9 +146,6 @@ def suite_subdiv():
 
 
 def suite_wedge():
-    from math import comb, factorial
-
-    from .exact import falling_factorial
     out = []
     for name, g, left in _bipartite_instances():
         for k in range(0, 4):
@@ -246,7 +246,6 @@ def suite_odd_gf2():
         got = linegraphs.count_odd_edge_sets(g)
         want = oracles.count_odd_edge_sets_enum(g)
         out.append((f"odd-gf2/rand{i}", got == want))
-    from .graphs import subdivide
     sub_k4 = line_graph(subdivide(k4, 1))
     out.append(("odd-gf2/3regular-line-subdivided-k4",
                 linegraphs.count_perfmatch_3regular_line(sub_k4)
@@ -324,7 +323,6 @@ def suite_eihom_poly():
         trial += 1
         h = _random_graph(rng, rng.randrange(1, 7), 0.4)
         g = _random_graph(rng, rng.randrange(1, 8), 0.5)
-        from .graphs import vertex_cover_number
         if vertex_cover_number(h, weak=True) > 3:
             continue
         got = eihom.count_edginj_poly(h, g)

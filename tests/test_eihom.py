@@ -205,3 +205,27 @@ class TestCountEdginjPoly:
                 continue
             assert count_edginj_poly(h, g) == O.count_edginj(h, g)
             done += 1
+
+
+class TestHostPastBit63:
+    """Neighbour bitmasks are unbounded ints: on a 70-vertex host most
+    candidate bits lie above bit 63, and the triangles sit at 56..68."""
+
+    PATTERNS = [make_pattern("W", 2), make_pattern("W", 1), make_pattern("Kab", 1, 3)]
+
+    @staticmethod
+    def host():
+        rng = random.Random(8)
+        chords = {tuple(sorted(rng.sample(range(70), 2))) for _ in range(15)}
+        chords |= {(i, i + 2) for i in range(56, 68, 2)}
+        return Graph(70, set(make_pattern("C", 70).edges) | chords)
+
+    @pytest.mark.parametrize("h", PATTERNS)
+    def test_edginj_poly_agrees_with_oracle(self, h):
+        g = self.host()
+        assert count_edginj_poly(h, g) == O.count_edginj(h, g) > 0
+
+    @pytest.mark.parametrize("f", PATTERNS)
+    def test_emb_small_vc_agrees_with_oracle(self, f):
+        g = self.host()
+        assert count_emb_small_vc(f, g) == O.count_emb(f, g) > 0

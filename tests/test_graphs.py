@@ -24,9 +24,21 @@ class TestMasks:
     @given(random_graph_strategy(max_n=9))
     @settings(max_examples=40, deadline=None)
     def test_bits_are_the_neighbours(self, g):
+        nbrs = [set() for _ in range(g.n)]
+        for u, v in g.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
         assert len(g.masks) == g.n
         for v in range(g.n):
-            assert {u for u in range(g.n) if g.masks[v] >> u & 1} == g.adj[v]
+            assert {u for u in range(g.n) if g.masks[v] >> u & 1} == nbrs[v]
+            assert g.degree(v) == len(nbrs[v])
+            for u in range(g.n):
+                assert g.has_edge(v, u) == (u in nbrs[v])
+
+    def test_masks_are_the_only_adjacency(self):
+        g = make_pattern("C", 5)
+        assert not hasattr(g, "adj")
+        assert "_adj" not in Graph.__slots__
 
     def test_built_once(self):
         g = make_pattern("C", 70)
@@ -102,6 +114,27 @@ class TestLineGraph:
         lg = line_graph(g)
         assert lg.n == g.m
         assert lg.m == sum(g.degree(v) * (g.degree(v) - 1) // 2 for v in range(g.n))
+
+    @staticmethod
+    def pairwise(g):
+        es = g.edges
+        return [(i, j) for i, j in itertools.combinations(range(len(es)), 2)
+                if set(es[i]) & set(es[j])]
+
+    @given(random_graph_strategy(max_n=9), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pairwise_definition(self, g, isolated):
+        g = Graph(g.n + isolated, g.edges)
+        lg = line_graph(g)
+        assert lg == Graph(g.m, self.pairwise(g))
+        assert lg.meta == {"edge_of_vertex": g.edges}
+
+    @pytest.mark.parametrize("g", [
+        make_pattern("Kab", 1, 6), make_pattern("Kab", 6, 1),
+        make_pattern("kK2", 5), Graph(4, []), Graph(0, []),
+    ])
+    def test_stars_and_matchings(self, g):
+        assert line_graph(g) == Graph(g.m, self.pairwise(g))
 
 
 class TestSubdivide:

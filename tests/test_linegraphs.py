@@ -162,6 +162,8 @@ class TestAlgorithm:
         for name, g in CUBIC[:2]:
             gp = triangle_expand(g)
             mset = set(gp.meta["matching"])
+            nbrs = {v: [u for e in gp.edges for u in e if v in e and u != v]
+                    for v in range(gp.n)}
             per_card = O.count_odd_edge_sets_enum(g, by_cardinality=True)
             counts = {}
 
@@ -170,7 +172,7 @@ class TestAlgorithm:
                     counts[t] = counts.get(t, 0) + 1
                     return
                 v = min(alive)
-                for u in gp.adj[v]:
+                for u in nbrs[v]:
                     if u in alive:
                         e = (min(u, v), max(u, v))
                         rec(alive - {u, v}, t + (e in mset))
