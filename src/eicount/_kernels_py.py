@@ -28,7 +28,8 @@ def _balls(adj, w, r):
     return out + [ball] * (r + 1 - len(out))
 
 
-def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None):
+def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None,
+               rooted=False):
     """Count (weighted) pattern maps into a host graph.
 
     n: host vertex count; adj: per-vertex neighbor bitmasks.
@@ -40,8 +41,25 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None):
     weights: per-vertex dicts, weights[u][w] the weight of host edge
     {u, w}; when given, each map contributes the product of its image-edge
     weights (mode must be MODE_EDGINJ).
+
+    rooted: count only the maps whose root edge, the image of positions
+    0-1, is the least image edge in (min, max) order; both orientations of
+    the root are counted.  The pattern order must be connected with
+    parents[1] == (0,), and mode MODE_EMB or MODE_EDGINJ.  For a root with
+    ends lo < hi, no image then lies below lo, and every later parent
+    image u admits the w above hi if u = lo, and the w above lo (and lo
+    itself when u > hi) if u > lo.  If a later position is adjacent to
+    position 0, its image must lie above img[1], so img[1] is never the
+    top neighbour of img[0].  For the cycle C_L, the 2L automorphisms act
+    freely on the maps and exactly 2 of them fix the edge {0, 1}, so the
+    rooted count is twice the number of orbits and
+    EdgInj(C_L, G) = L * #{maps whose first edge is the least image edge}.
     """
     npos = len(parents)
+    # parents[1] can only be (0,) or (); every later position needs a parent
+    if rooted and (mode == MODE_HOM or npos < 2 or not all(parents[1:])):
+        raise ValueError("rooted mode needs an injective mode and a "
+                         "connected order with parents[1] == (0,)")
     if npos == 0:
         return 1
     full = (1 << n) - 1
@@ -52,6 +70,8 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None):
     balls = [None] * npos  # balls[a][d]: host vertices within d of img[a]
     img = [0] * npos
     used = [0] * n  # used[u] bit v set <=> host edge {u,v} already an image
+    root = [0, 0, 0, 0]  # lo, hi, host vertices above lo, above hi
+    closes = rooted and any(0 in ps for ps in parents[2:])
     total = 0
 
     def rec(pos, acc):
@@ -66,6 +86,18 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None):
         if mode == MODE_EMB:
             for q in range(pos):
                 cand &= ~(1 << img[q])
+        if closes and pos == 1:
+            cand &= (1 << adj[img[0]].bit_length() >> 1) - 1
+        if rooted and pos > 1:
+            if pos == 2:
+                lo, hi = sorted(img[:2])
+                root[:] = (lo, hi, full >> lo + 1 << lo + 1,
+                           full >> hi + 1 << hi + 1)
+            lo, hi, above_lo, above_hi = root
+            for q in ps:
+                u = img[q]
+                cand &= above_hi if u == lo else (
+                    above_lo | (1 << lo if u > hi else 0))
         a = anchor[pos]
         if a >= 0:
             cand &= balls[a][anchor_dist[pos]]

@@ -20,7 +20,6 @@ from .config import CapExceeded
 from .exact import multinomial
 from .graphs import (Graph, Partition, all_partitions, bits,
                      minimum_vertex_cover, quotient)
-from .oracles import count_emb
 
 
 class ReducedPattern:

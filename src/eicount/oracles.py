@@ -60,14 +60,26 @@ def _check_pattern_cap(parents, g: Graph):
     # long paths/cycles and similar sparse patterns are admitted when the
     # estimated search volume stays within budget; branching at a parented
     # position is the degree of the current image, so the mean host degree
-    # is the realistic per-step factor
-    mean_deg = max(1.0, 2.0 * g.m / g.n)
-    volume = 1.0
+    # 2m/n (at least 1) is the realistic per-step factor.  The volume is
+    # the fraction num/den, compared in integers.
+    deg_num, deg_den = (2 * g.m, g.n) if 2 * g.m > g.n else (1, 1)
+    limit = cap("SEARCH_VOLUME_CAP")
+    num = den = 1
     for ps in parents:
-        volume *= g.n if not ps else mean_deg
-        if volume > cap("SEARCH_VOLUME_CAP"):
+        if ps:
+            num *= deg_num
+            den *= deg_den
+        else:
+            num *= g.n
+        if num > limit * den:
             raise CapExceeded(
                 f"pattern on {len(parents)} vertices: search volume exceeds cap")
+
+
+def _is_cycle(h: Graph) -> bool:
+    """Connected and 2-regular on at least 3 vertices."""
+    return (h.n >= 3 and all(m.bit_count() == 2 for m in h.masks)
+            and len(h.components()) == 1)
 
 
 def _count_maps(h: Graph, g: Graph, mode: int, weighted: bool = False) -> int:
@@ -85,8 +97,12 @@ def _count_maps(h: Graph, g: Graph, mode: int, weighted: bool = False) -> int:
         for (u, v), w in g.weight.items():
             weights[u][v] = w
             weights[v][u] = w
-    return run_kernel("count_maps", g.n, g.masks, mode, parents, anchor,
-                      adist, weights)
+    # the rooted search keeps one map per orbit of Aut(C_L) (2L elements)
+    # and orientation of its least image edge
+    rooted = mode != MODE_HOM and _is_cycle(h)
+    count = run_kernel("count_maps", g.n, g.masks, mode, parents, anchor,
+                       adist, weights, rooted)
+    return h.m * count if rooted else count
 
 
 def count_hom(h: Graph, g: Graph) -> int:

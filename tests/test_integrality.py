@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from eicount import holant, oracles, reductions
+from eicount import _kernels_py, holant, oracles, reductions
 from eicount.graphs import Graph, make_pattern
 
 C6 = Graph(6, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)])
@@ -104,6 +104,27 @@ def test_simple_cycle_orbits(monkeypatch):
     skew_first_call(monkeypatch, oracles, "count_emb")
     with pytest.raises(ArithmeticError, match="orbit size"):
         oracles.count_simple_cycles(K4, 3)
+
+
+@pytest.mark.parametrize("pipeline", [
+    lambda: oracles.count_edge_disjoint(K4, 3, "cycle"),
+    lambda: oracles.count_simple_cycles(K4, 3),
+    lambda: reductions.count_simple_cycles_via_gadget(K4, 3)])
+def test_rooted_cycle_count_off_by_one(monkeypatch, pipeline):
+    # the rooted search counts each orbit of C_L once per orientation of
+    # its root edge, so one map too many leaves half an orbit
+    real = _kernels_py.count_maps
+    rooted_calls = []
+
+    def skewed(*args):
+        rooted = args[-1]
+        rooted_calls.append(rooted)
+        return real(*args) + (1 if rooted else 0)
+
+    monkeypatch.setattr(_kernels_py, "count_maps", skewed)
+    with pytest.raises(ArithmeticError):
+        pipeline()
+    assert rooted_calls[0] is True
 
 
 def test_subdivision_pipeline(monkeypatch):

@@ -5,6 +5,8 @@ import itertools
 import random
 import tracemalloc
 
+import pytest
+
 from eicount import _backend, _kernels_py
 from eicount import oracles as O
 from eicount.graphs import Graph, bfs_layers, bits, make_pattern
@@ -120,3 +122,121 @@ def test_oracles_run_on_the_python_kernels():
     assert O.count_perfect_matchings(k4) == 3
     assert O.count_edginj(make_pattern("P", 2), k4) == 24
     assert O.count_odd_edge_sets_enum(k4) == 8
+
+
+def c70_with_chords():
+    """A 70-vertex host: the cycle C_70, 15 random chords and the chords
+    (i, i + 2) for even i in 56..66, which close triangles past bit 63."""
+    rng = random.Random(8)
+    chords = {tuple(sorted(rng.sample(range(70), 2))) for _ in range(15)}
+    chords |= {(i, i + 2) for i in range(56, 68, 2)}
+    return Graph(70, set(make_pattern("C", 70).edges) | chords)
+
+
+def unrooted_count(h, g, mode, weighted=False):
+    """The plain kernel search, with no symmetry breaking."""
+    _, parents, anchor, adist = O._pattern_encoding(h)
+    weights = None
+    if weighted:
+        weights = [{} for _ in range(g.n)]
+        for (u, v), w in g.weight.items():
+            weights[u][v] = weights[v][u] = w
+    return _kernels_py.count_maps(g.n, g.masks, mode, parents, anchor, adist,
+                                  weights, rooted=False)
+
+
+def cycle_hosts():
+    """Hosts with edge weights 0..3: no vertex, one vertex, five isolated
+    vertices, a triangle beside a chorded 4-cycle, 14 random graphs (often
+    disconnected) and the 70-vertex host."""
+    rng = random.Random(3)
+    hosts = [Graph(0, []), Graph(1, []), Graph(5, []),
+             Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6),
+                       (3, 6), (3, 5)])]
+    hosts += [rand_graph(rng, rng.randrange(2, 9), rng.choice([0.3, 0.5, 0.8]))
+              for _ in range(14)]
+    hosts.append(c70_with_chords())
+    return [Graph(g.n, g.edges, weight={e: rng.randrange(0, 4) for e in g.edges})
+            for g in hosts]
+
+
+def test_rooted_cycle_counts_match_the_unrooted_search():
+    # the oracles count C_L with the root edge least among the image edges;
+    # the plain search and, on small hosts, plain enumeration must agree.
+    # The cycles are labelled at random, so the root is any pattern edge.
+    rng = random.Random(5)
+    nonzero = brute = 0
+    for g in cycle_hosts():
+        plain = Graph(g.n, g.edges)
+        for k in range(3, 9):
+            label = rng.sample(range(k), k)
+            h = Graph(k, [(label[i], label[i - 1]) for i in range(k)])
+            small = g.n ** k <= 5000
+            for mode, weighted, count in [
+                    (_kernels_py.MODE_EMB, False, O.count_emb),
+                    (_kernels_py.MODE_EDGINJ, False, O.count_edginj),
+                    (_kernels_py.MODE_EDGINJ, True, O.count_edginj_weighted)]:
+                got = count(h, g if weighted else plain)
+                if g.n:
+                    assert got == unrooted_count(h, g, mode, weighted)
+                if small:
+                    assert got == brute_maps(h, g, mode,
+                                             g.weight if weighted else None)
+                    brute += 1
+                nonzero += got > 0
+    assert nonzero > 60 and brute > 150
+
+
+def record_kernel_calls(monkeypatch):
+    """Wrap the oracles' binding of ``_backend.run_kernel`` and return the
+    list of (kernel name, rooted) pairs it sees."""
+    calls = []
+
+    def recording(name, *args):
+        if name == "count_maps":
+            calls.append((name, args[-1]))
+        return _backend.run_kernel(name, *args)
+
+    monkeypatch.setattr(O, "run_kernel", recording)
+    return calls
+
+
+def test_only_cycles_take_the_rooted_search(monkeypatch):
+    calls = record_kernel_calls(monkeypatch)
+    rng = random.Random(4)
+    g = rand_graph(rng, 6, 0.6)
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    unrooted = [(make_pattern("C", k), _kernels_py.MODE_HOM, O.count_hom)
+                for k in (3, 4, 5)]
+    for h in [two_triangles, make_pattern("P", 1), make_pattern("P", 3),
+              make_pattern("Kab", 1, 3)]:
+        unrooted += [(h, _kernels_py.MODE_EMB, O.count_emb),
+                     (h, _kernels_py.MODE_EDGINJ, O.count_edginj)]
+    for h, mode, count in unrooted:
+        calls.clear()
+        assert count(h, g) == brute_maps(h, g, mode)
+        assert calls == [("count_maps", False)]
+    for count in (O.count_emb, O.count_edginj):
+        calls.clear()
+        count(make_pattern("C", 4), g)
+        assert calls == [("count_maps", True)]
+
+
+def test_rooted_mode_needs_a_root_edge():
+    g = make_pattern("K", 4)
+    # P_2 placed ends first: position 1 has no parent, so no root edge
+    parents = [(), (), (0, 1)]
+    with pytest.raises(ValueError, match="parents"):
+        _kernels_py.count_maps(g.n, g.masks, _kernels_py.MODE_EDGINJ,
+                               parents, [-1, -1, 0], [0, 0, 1], None, True)
+    _, parents, anchor, adist = O._pattern_encoding(make_pattern("C", 4))
+    with pytest.raises(ValueError, match="injective"):
+        _kernels_py.count_maps(g.n, g.masks, _kernels_py.MODE_HOM, parents,
+                               anchor, adist, None, True)
+    # the second triangle of C_3 + C_3 starts at a position with no parent
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    _, parents, anchor, adist = O._pattern_encoding(two_triangles)
+    assert parents[1] == (0,)
+    with pytest.raises(ValueError, match="connected"):
+        _kernels_py.count_maps(g.n, g.masks, _kernels_py.MODE_EMB, parents,
+                               anchor, adist, None, True)

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +67,50 @@ class TestHomFamily:
         # beyond the unconditional pattern cap AND the search-volume budget
         with pytest.raises(CapExceeded):
             O.count_hom(make_pattern("K", 12), make_pattern("K", 12))
+
+
+class TestSearchVolumeCap:
+    # C_9 has 9 > PATTERN_CAP vertices; its first position ranges over the
+    # n host vertices and each of the other 8 over the mean degree 2m/n,
+    # floored at 1
+    C9 = make_pattern("C", 9)
+
+    @pytest.mark.parametrize("host,volume", [
+        (make_pattern("C", 10), 10 * 2 ** 8),
+        (Graph(10, [(0, 1)]), 10),
+    ])
+    def test_volume_at_the_cap_is_admitted(self, monkeypatch, host, volume):
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", str(volume))
+        assert O.count_edginj(self.C9, host) == 0
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", str(volume - 1))
+        with pytest.raises(CapExceeded, match="search volume"):
+            O.count_edginj(self.C9, host)
+
+    def test_fractional_mean_degree(self, monkeypatch):
+        # 3 * (4/3)^8 = 196608/6561, just under 30
+        host = make_pattern("P", 2)
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "30")
+        assert O.count_edginj(self.C9, host) == 0
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "29")
+        with pytest.raises(CapExceeded, match="search volume"):
+            O.count_edginj(self.C9, host)
+
+
+def test_no_floating_point_outside_verify():
+    # verify.py draws random graphs at float densities; every other module
+    # computes in ints and fractions only
+    src = Path(O.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "verify.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not (isinstance(node, ast.Constant)
+                        and isinstance(node.value, (float, complex))), \
+                f"{path.name}:{node.lineno} float literal"
+            assert not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "float"), \
+                f"{path.name}:{node.lineno} float() call"
 
 
 class TestWeighted:
