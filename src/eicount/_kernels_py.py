@@ -7,6 +7,8 @@ hosts of any size work.
 
 from __future__ import annotations
 
+import sys
+
 from .config import CapExceeded, cap
 from .graphs import bfs_layers
 
@@ -54,6 +56,10 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None,
     freely on the maps and exactly 2 of them fix the edge {0, 1}, so the
     rooted count is twice the number of orbits and
     EdgInj(C_L, G) = L * #{maps whose first edge is the least image edge}.
+
+    Raises :class:`CapExceeded` once the candidate images tried, summed
+    over the search nodes, pass ``SEARCH_VOLUME_CAP``, or when one frame per
+    position would pass the recursion limit.
     """
     npos = len(parents)
     # parents[1] can only be (0,) or (); every later position needs a parent
@@ -62,6 +68,15 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None,
                          "connected order with parents[1] == (0,)")
     if npos == 0:
         return 1
+    # rec nests a frame per position on this stack, the ball walk three more
+    limit = sys.getrecursionlimit()
+    depth, frame = npos + 3, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    if depth > limit:
+        raise CapExceeded(f"pattern on {npos} vertices: the map search needs "
+                          f"{depth} stack frames, past the recursion limit {limit}")
+    budget = volume = cap("SEARCH_VOLUME_CAP")
     full = (1 << n) - 1
     radius = [0] * npos
     for p, a in enumerate(anchor):
@@ -75,7 +90,7 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None,
     total = 0
 
     def rec(pos, acc):
-        nonlocal total
+        nonlocal total, budget
         ps = parents[pos]
         if ps:
             cand = adj[img[ps[0]]]
@@ -101,6 +116,10 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None,
         a = anchor[pos]
         if a >= 0:
             cand &= balls[a][anchor_dist[pos]]
+        budget -= cand.bit_count()
+        if budget < 0:
+            raise CapExceeded(f"SEARCH_VOLUME_CAP: the map search tried "
+                              f"more than {volume} images")
         r = radius[pos]
         while cand:
             w = (cand & -cand).bit_length() - 1

@@ -30,7 +30,7 @@ from .graphs import (Graph, bfs_layers, bits, make_pattern, parse_graph,
 ROUTES = {
     "hom": {"oracle": lambda p, h, a: oracles.count_hom(p, h)},
     "emb": {"oracle": lambda p, h, a: oracles.count_emb(p, h),
-            "poly": lambda p, h, a: eihom.count_emb_small_vc(p, h)},
+            "poly": lambda p, h, a: eihom.count_emb_small_vc(p, h, bound=a.bound)},
     "edginj": {"oracle": lambda p, h, a: oracles.count_edginj(p, h),
                "poly": lambda p, h, a: eihom.count_edginj_poly(p, h, bound=a.bound)},
     "wedginj": {"oracle": lambda p, h, a: oracles.count_edginj_weighted(p, h)},
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--ell", type=int, default=2,
                    help="collar length for pipeline:line (default 2)")
     c.add_argument("--bound", type=int, default=3,
-                   help="weak vertex-cover bound for --algo poly (default 3)")
+                   help="cover bound for emb and edginj --algo poly (default 3)")
     c.add_argument("--format", choices=("text", "json"), default="text")
 
     g = sub.add_parser("gen", help="emit a builtin pattern graph")

@@ -10,7 +10,7 @@ an environment variable ``EICOUNT_<NAME>`` holding an integer, e.g.
 import os
 
 _DEFAULTS = {
-    # max |V(H)| for the generic homomorphism-type oracles
+    # max |V(H)| for the partition-sum oracle (Bell(|V(H)|) partitions)
     "PATTERN_CAP": 8,
     # max |E(G)| for edge-subset oracles (odd edge-sets by enumeration)
     "EDGE_SUBSET_CAP": 24,
@@ -20,10 +20,9 @@ _DEFAULTS = {
     # of the perfect-matching counter; 10^6 states take about 10 s and
     # 100 MB, while the 162-vertex collar encoding of the prism needs 1,700
     "PERFMATCH_CAP": 10**6,
-    # max estimated search volume for homomorphism-type enumeration; patterns
-    # larger than PATTERN_CAP (long cycles/paths, wedge unions) are still
-    # admitted when the pruned search tree fits this budget
-    "SEARCH_VOLUME_CAP": 2 * 10**9,
+    # max candidate images the hom/emb/edginj map search tries, summed over
+    # its nodes; at roughly 10^6 per second, 10^7 take about 10 s
+    "SEARCH_VOLUME_CAP": 10**7,
     # max |V(G)| for brute-force isomorphism search
     "ISO_CAP": 24,
     # max colorful assignments enumerated by col_holant and col_sig

@@ -14,7 +14,7 @@ occupancy sum over neighborhood classes.
 from __future__ import annotations
 
 import itertools
-from math import factorial
+from math import comb, factorial
 
 from .config import CapExceeded
 from .exact import multinomial
@@ -278,15 +278,18 @@ def _independent_count(classes, image, free, g: Graph) -> int:
     times falling factorials of the cell sizes.
     """
     cand_sets = []
+    union = 0
     for req, _ in classes:
         cand = free
         for u in bits(req):
             cand &= g.masks[image[u]]
         cand_sets.append(cand)
-    # cells of the Venn diagram of the candidate sets; bit i of a cell's
-    # key is set iff the cell lies in candidate set i
+        union |= cand
+    # cells of the Venn diagram of the candidate sets (vertices in none can
+    # take no pattern vertex); bit i of a cell's key is set iff the cell
+    # lies in candidate set i
     cells = {}
-    for w in bits(free):
+    for w in bits(union):
         sig = sum(1 << i for i, cs in enumerate(cand_sets) if cs >> w & 1)
         cells[sig] = cells.get(sig, 0) + 1
     cell_list = list(cells.items())
@@ -314,7 +317,7 @@ def _independent_count(classes, image, free, g: Graph) -> int:
             room = cell_list[j][1] - loads[j]
             for take in range(0, min(left, room) + 1):
                 loads[j] += take
-                split(fi + 1, left - take, ways * multinomial(left, [take]))
+                split(fi + 1, left - take, ways * comb(left, take))
                 loads[j] -= take
 
         split(0, mult, 1)
@@ -341,7 +344,7 @@ def count_edginj_poly(h: Graph, g: Graph, bound: int = 3) -> int:
     total = 0
     for _, _, n_class, rep in realized_classes(core, cover):
         q = quotient(core, rep)
-        total += n_class * count_emb_small_vc(q.graph, g, bound=max(bound, len(cover)))
+        total += n_class * count_emb_small_vc(q.graph, g, bound=bound)
     return mult * total
 
 

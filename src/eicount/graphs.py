@@ -463,9 +463,9 @@ def _isolated_edge_components(g: Graph):
     return [c for c in g.components() if len(c) == 2 and g.has_edge(c[0], c[1])]
 
 
-def minimum_vertex_cover(g: Graph, cap_name: str = "VERTEX_COVER_CAP"):
+def minimum_vertex_cover(g: Graph):
     """Smallest vertex cover, found by exhaustive search in increasing size."""
-    check_cap(cap_name, g.n)
+    check_cap("VERTEX_COVER_CAP", g.n)
     if not g.edges:
         return frozenset()
     verts = sorted({v for e in g.edges for v in e})

@@ -14,7 +14,7 @@ from math import factorial
 
 from ._backend import run_kernel
 from ._kernels_py import MODE_EDGINJ, MODE_EMB, MODE_HOM
-from .config import CapExceeded, check_cap, cap
+from .config import check_cap
 from .exact import exact_quotient
 from .graphs import (Graph, Partition, all_partitions, bfs_layers, bits,
                      line_graph, make_pattern, quotient)
@@ -54,28 +54,6 @@ def _pattern_encoding(h: Graph):
     return order, parents, anchor, adist
 
 
-def _check_pattern_cap(parents, g: Graph):
-    if len(parents) <= cap("PATTERN_CAP"):
-        return
-    # long paths/cycles and similar sparse patterns are admitted when the
-    # estimated search volume stays within budget; branching at a parented
-    # position is the degree of the current image, so the mean host degree
-    # 2m/n (at least 1) is the realistic per-step factor.  The volume is
-    # the fraction num/den, compared in integers.
-    deg_num, deg_den = (2 * g.m, g.n) if 2 * g.m > g.n else (1, 1)
-    limit = cap("SEARCH_VOLUME_CAP")
-    num = den = 1
-    for ps in parents:
-        if ps:
-            num *= deg_num
-            den *= deg_den
-        else:
-            num *= g.n
-        if num > limit * den:
-            raise CapExceeded(
-                f"pattern on {len(parents)} vertices: search volume exceeds cap")
-
-
 def _is_cycle(h: Graph) -> bool:
     """Connected and 2-regular on at least 3 vertices."""
     return (h.n >= 3 and all(m.bit_count() == 2 for m in h.masks)
@@ -88,7 +66,6 @@ def _count_maps(h: Graph, g: Graph, mode: int, weighted: bool = False) -> int:
     if g.n == 0:
         return 0
     _, parents, anchor, adist = _pattern_encoding(h)
-    _check_pattern_cap(parents, g)
     weights = None
     if weighted:
         if g.weight is None:

@@ -101,6 +101,28 @@ class TestCount:
                                "--host", "builtin:K,12")
         assert code == 3 and "cap" in err.lower()
 
+    def test_long_cycle_within_the_search_budget(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "edginj",
+                               "--pattern", "builtin:C,30",
+                               "--host", "builtin:C,30")
+        assert code == 0 and out.strip() == "60"
+
+    @pytest.mark.parametrize("quantity,pattern,host", [
+        ("hom", "builtin:P,1200", "builtin:kK2,5"),
+        ("edginj", "builtin:C,1200", "builtin:C,1200")])
+    def test_pattern_past_the_recursion_limit(self, capsys, quantity,
+                                              pattern, host):
+        code, out, err = run_cli(capsys, "count", quantity,
+                                 "--pattern", pattern, "--host", host)
+        assert code == 3 and out == "" and "recursion limit" in err
+
+    @pytest.mark.parametrize("bound,code,want", [("2", 3, ""), ("4", 0, "720\n")])
+    def test_bound_reaches_emb_poly(self, capsys, bound, code, want):
+        got = run_cli(capsys, "count", "emb", "--algo", "poly",
+                      "--pattern", "builtin:K,5", "--host", "builtin:K,6",
+                      "--bound", bound)
+        assert got[:2] == (code, want)
+
     def test_usage_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "count", "matchings",
                                "--host", "builtin:C,6", "--k", "2",

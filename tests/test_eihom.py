@@ -211,7 +211,9 @@ class TestHostPastBit63:
     """Neighbour bitmasks are unbounded ints: on a 70-vertex host most
     candidate bits lie above bit 63, and the triangles sit at 56..68."""
 
-    PATTERNS = [make_pattern("W", 2), make_pattern("W", 1), make_pattern("Kab", 1, 3)]
+    # the first minimum cover of P_3, {0, 2}, is not adjacent
+    PATTERNS = [make_pattern("W", 2), make_pattern("W", 1), make_pattern("Kab", 1, 3),
+                make_pattern("P", 3)]
 
     @staticmethod
     def host():

@@ -63,37 +63,34 @@ class TestHomFamily:
                 g = rand_graph(rng, 6)
                 assert O.count_edginj(h, g) == O.count_emb(h, g)
 
-    def test_cap(self):
-        # beyond the unconditional pattern cap AND the search-volume budget
-        with pytest.raises(CapExceeded):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "10000")
+        with pytest.raises(CapExceeded, match="SEARCH_VOLUME_CAP"):
             O.count_hom(make_pattern("K", 12), make_pattern("K", 12))
 
 
-class TestSearchVolumeCap:
-    # C_9 has 9 > PATTERN_CAP vertices; its first position ranges over the
-    # n host vertices and each of the other 8 over the mean degree 2m/n,
-    # floored at 1
-    C9 = make_pattern("C", 9)
+class TestSearchBudget:
+    """SEARCH_VOLUME_CAP bounds the candidate images the map search tries,
+    summed over its nodes."""
 
-    @pytest.mark.parametrize("host,volume", [
-        (make_pattern("C", 10), 10 * 2 ** 8),
-        (Graph(10, [(0, 1)]), 10),
-    ])
-    def test_volume_at_the_cap_is_admitted(self, monkeypatch, host, volume):
-        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", str(volume))
-        assert O.count_edginj(self.C9, host) == 0
-        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", str(volume - 1))
-        with pytest.raises(CapExceeded, match="search volume"):
-            O.count_edginj(self.C9, host)
+    def test_images_tried_at_the_cap_are_admitted(self, monkeypatch):
+        # 3 images for the first end of the edge, 2 for the other per first
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "9")
+        assert O.count_hom(make_pattern("P", 1), K3) == 6
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "8")
+        with pytest.raises(CapExceeded, match="more than 8 images"):
+            O.count_hom(make_pattern("P", 1), K3)
 
-    def test_fractional_mean_degree(self, monkeypatch):
-        # 3 * (4/3)^8 = 196608/6561, just under 30
-        host = make_pattern("P", 2)
-        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "30")
-        assert O.count_edginj(self.C9, host) == 0
-        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "29")
-        with pytest.raises(CapExceeded, match="search volume"):
-            O.count_edginj(self.C9, host)
+    def test_small_budget_stops_a_small_hard_search(self, monkeypatch):
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "1000")
+        with pytest.raises(CapExceeded):
+            O.count_hom(make_pattern("P", 3), make_pattern("K", 20))
+        monkeypatch.delenv("EICOUNT_SEARCH_VOLUME_CAP")
+        assert O.count_hom(make_pattern("P", 3), make_pattern("K", 20)) == 137180
+
+    def test_large_easy_cycle_fits_the_default_budget(self):
+        c30 = make_pattern("C", 30)
+        assert O.count_edginj(c30, c30) == O.count_emb(c30, c30) == 60
 
 
 def test_no_floating_point_outside_verify():
