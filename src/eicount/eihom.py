@@ -112,13 +112,22 @@ def _color_set_candidates(distinct_colors):
 
 
 def enumerate_classes(h: Graph, cover):
-    """Yield all candidate (CoverSubPartition, color allocation) pairs.
+    """Yield the (CoverSubPartition, color allocation) pairs of the nonempty
+    classes.
 
     The color allocation is a dict mapping each block color-set beta (a
     frozenset of pairwise-disjoint colors) to its multiplicity; candidates
     are generated so that every free vertex is accounted for: for each color
     K, the multiplicities of the betas containing K sum to the number of
     free vertices of color K.
+
+    A cover sub-partition rho_c is skipped when its quotient with every free
+    vertex left a singleton has a loop or an edge collision.  Every
+    partition of a class over rho_c coarsens that singleton partition, and
+    coarsening never removes a loop or an edge collision, so the skipped
+    classes are empty.  Conversely, free vertices are pairwise non-adjacent
+    and the colors within one beta are disjoint, so merging them adds
+    neither; every pair yielded is a nonempty class.
     """
     cover = frozenset(cover)
     if any(u not in cover and v not in cover for u, v in h.edges):
@@ -133,6 +142,10 @@ def enumerate_classes(h: Graph, cover):
                 if any(not (set(b) & cover) for b in blocks):
                     continue
                 rho_c = CoverSubPartition(blocks)
+                singles = [[v] for v in range(h.n) if v not in rho_c.domain]
+                q = quotient(h, Partition(h.n, list(rho_c.blocks) + singles))
+                if q.degenerate or not q.edge_injective:
+                    continue
                 colors = _free_colors(h, rho_c)
                 counts = {}
                 for k in colors.values():
@@ -232,6 +245,11 @@ def count_emb_small_vc(f: Graph, g: Graph, bound: int = 6) -> int:
     neighborhood in C', the host vertices by which of those requirement sets
     they satisfy, and the injective placements are counted by an exact
     occupancy sum over the resulting cells.
+
+    Once the last cover vertex of a class's requirement is placed, a partial
+    placement whose free host vertices adjacent to all the required images
+    are fewer than the class's multiplicity is abandoned: deeper cover
+    placements only remove vertices from the free set, so it counts zero.
     """
     if f.n == 0:
         return 1
@@ -245,6 +263,12 @@ def count_emb_small_vc(f: Graph, g: Graph, bound: int = 6) -> int:
         if v not in cover:
             class_sizes[f.masks[v]] = class_sizes.get(f.masks[v], 0) + 1
     classes = sorted(class_sizes.items(), key=lambda kv: list(bits(kv[0])))
+    # checks[i]: the classes whose requirement is fully placed with cover[i]
+    # (cover is sorted, so that is its highest requirement bit)
+    checks = [[] for _ in cover]
+    for req, mult in classes:
+        if req:
+            checks[cover.index(req.bit_length() - 1)].append((req, mult))
     total = 0
     image = {}
 
@@ -260,11 +284,24 @@ def count_emb_small_vc(f: Graph, g: Graph, bound: int = 6) -> int:
                 cand &= g.masks[x]
         for w in bits(cand):
             image[v] = w
-            place(i + 1, free & ~(1 << w))
+            rest = free & ~(1 << w)
+            for req, mult in checks[i]:
+                if _candidates(req, image, rest, g).bit_count() < mult:
+                    break  # too few host vertices left for this class
+            else:
+                place(i + 1, rest)
             del image[v]
 
     place(0, (1 << g.n) - 1)
     return total
+
+
+def _candidates(req, image, free, g: Graph) -> int:
+    """Bitmask of the free host vertices adjacent to the images of all the
+    cover vertices in the bitmask ``req``."""
+    for u in bits(req):
+        free &= g.masks[image[u]]
+    return free
 
 
 def _independent_count(classes, image, free, g: Graph) -> int:
@@ -277,13 +314,9 @@ def _independent_count(classes, image, free, g: Graph) -> int:
     split each class across its feasible cells of multinomial coefficients
     times falling factorials of the cell sizes.
     """
-    cand_sets = []
+    cand_sets = [_candidates(req, image, free, g) for req, _ in classes]
     union = 0
-    for req, _ in classes:
-        cand = free
-        for u in bits(req):
-            cand &= g.masks[image[u]]
-        cand_sets.append(cand)
+    for cand in cand_sets:
         union |= cand
     # cells of the Venn diagram of the candidate sets (vertices in none can
     # take no pattern vertex); bit i of a cell's key is set iff the cell
@@ -349,16 +382,17 @@ def count_edginj_poly(h: Graph, g: Graph, bound: int = 3) -> int:
 
 
 def realized_classes(h: Graph, cover):
-    """The equivalence classes the algorithm actually sums over: enumerated
-    candidates whose class size is nonzero and whose representative exists
-    and is edge-injective.  Yields (rho_c, alloc, size, representative)."""
+    """The equivalence classes the algorithm sums over, with their sizes and
+    one edge-injective representative each.  Yields (rho_c, alloc, size,
+    representative).  Every enumerated class is nonempty, so an empty one
+    raises rather than being dropped from the sum."""
     for rho_c, alloc in enumerate_classes(h, cover):
         size = class_size(rho_c, alloc, h)
-        if size == 0:
-            continue
         rep = build_representative(rho_c, alloc, h)
-        if rep is None:
-            continue
+        if size == 0 or rep is None:
+            raise AssertionError(
+                f"enumerated class {rho_c.blocks} {alloc} is empty "
+                f"(size {size}, representative {rep})")
         yield rho_c, alloc, size, rep
 
 

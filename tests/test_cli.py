@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -220,11 +222,20 @@ class TestVerify:
 
 
 class TestEntryPoint:
+    @staticmethod
+    def child_env():
+        # the children import eicount from this checkout's src directory
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        return {**os.environ,
+                "PYTHONPATH": src + os.pathsep + path if path else src}
+
     def test_installed_script(self):
         proc = subprocess.run([sys.executable, "-m", "eicount.cli", "count",
                                "edginj", "--pattern", "builtin:P,2",
                                "--host", "builtin:K,3"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=self.child_env())
         assert proc.returncode == 0 and proc.stdout.strip() == "6"
 
     def test_verify_all_without_asserts(self):
@@ -232,6 +243,7 @@ class TestEntryPoint:
         # with explicit errors, and still pass every identity
         proc = subprocess.run([sys.executable, "-O", "-m", "eicount.cli",
                                "verify", "all"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=self.child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "180/180 checks passed"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from eicount import eihom
 from eicount import oracles as O
 from eicount.config import CapExceeded
 from eicount.eihom import (CoverSubPartition, build_representative,
@@ -110,13 +111,17 @@ class TestClasses:
                         assert not (union & k)
                         union |= k
 
-    def test_quotients_isomorphic_within_class(self):
+    @staticmethod
+    def random_cores():
         rng = random.Random(3)
         for _ in range(12):
             h = rand_graph(rng, rng.randrange(3, 7))
             core = reduce_isolated(h).core
-            if core.n == 0:
-                continue
+            if core.n:
+                yield core
+
+    def test_quotients_isomorphic_within_class(self):
+        for core in self.random_cores():
             cover = minimum_vertex_cover(core)
             groups = {}
             for blocks in all_partitions(range(core.n)):
@@ -139,6 +144,29 @@ class TestClasses:
                 groups.setdefault(str(key), []).append(q.graph)
             for qs in groups.values():
                 assert all(O.is_isomorphic(qs[0], q2) for q2 in qs[1:])
+
+    def test_class_prune_is_exact(self):
+        # the cover sub-partitions enumerated are exactly those of the
+        # loop-free, edge-injective partitions
+        for core in self.random_cores():
+            cover = minimum_vertex_cover(core)
+            want = set()
+            for blocks in all_partitions(range(core.n)):
+                rho = Partition(core.n, blocks)
+                q = quotient(core, rho)
+                if not q.degenerate and q.edge_injective:
+                    want.add(tuple(b for b in rho.blocks if set(b) & cover))
+            got = {rho_c.blocks for rho_c, _ in enumerate_classes(core, cover)}
+            assert got == want
+
+    @pytest.mark.parametrize("pattern, candidates", [
+        (make_pattern("C", 6), 4), (make_pattern("kP2", 2), 12),
+        (make_pattern("Kab", 2, 3), 1)])
+    def test_candidates_are_realized(self, pattern, candidates):
+        core = reduce_isolated(pattern).core
+        cover = minimum_vertex_cover(core)
+        assert sum(1 for _ in enumerate_classes(core, cover)) == candidates
+        assert sum(1 for _ in realized_classes(core, cover)) == candidates
 
     def test_representative_infeasible_when_color_missing(self):
         # SS_2: center 0 covers everything; asking for a color no free
@@ -171,6 +199,25 @@ class TestEmbSmallVc:
     def test_cover_bound(self):
         with pytest.raises(CapExceeded):
             count_emb_small_vc(make_pattern("K", 6), make_pattern("K", 7), bound=2)
+
+    @pytest.mark.parametrize("f, g, answer, max_calls", [
+        (make_pattern("C", 6), make_pattern("C", 20), 0, 0),
+        (make_pattern("C", 6), make_pattern("Kab", 4, 4), 1152, 48),
+        (make_pattern("Kab", 2, 3), make_pattern("C", 12), 0, 0),
+        (make_pattern("P", 3), make_pattern("C", 20), 40, 40)])
+    def test_placement_prune_skips_hopeless_covers(self, monkeypatch, f, g,
+                                                   answer, max_calls):
+        # without the prune these make 6840, 336, 132 and 380 calls
+        calls = []
+        inner = eihom._independent_count
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(eihom, "_independent_count", counted)
+        assert count_emb_small_vc(f, g) == O.count_emb(f, g) == answer
+        assert len(calls) <= max_calls
 
 
 class TestCountEdginjPoly:
