@@ -7,14 +7,17 @@ partitions of the core into equivalence classes described by a pair
 (cover sub-partition, color allocation), computes each class's size by a
 closed multinomial formula, and sums class-size times the embedding count of
 one representative quotient.  Embeddings of the quotients are counted by a
-cover-indexed enumeration whose independent part is resolved with an exact
-occupancy sum over neighborhood classes.
+cover-indexed enumeration.  Each neighborhood class of the independent
+vertices gets its candidate mask once, when its requirement is placed; at
+each complete cover placement an exact occupancy sum fills the cells of
+those masks one by one, weighing t of the ``left`` members of a class in a
+cell with r unused vertices by C(left, t) * (r)_t.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .config import CapExceeded
 from .exact import multinomial
@@ -74,12 +77,6 @@ class CoverSubPartition:
         self.blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
         self.domain = frozenset(v for b in self.blocks for v in b)
 
-    def __eq__(self, other):
-        return isinstance(other, CoverSubPartition) and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
-
 
 def color_of(v, rho_c: CoverSubPartition, h: Graph):
     """The set of rho_c blocks adjacent to the free vertex v."""
@@ -93,22 +90,36 @@ def _free_colors(h: Graph, rho_c: CoverSubPartition):
     return {v: color_of(v, rho_c, h) for v in range(h.n) if v not in rho_c.domain}
 
 
-def _color_set_candidates(distinct_colors):
-    """All families of pairwise-disjoint colors (the possible per-block color
-    sets), nonempty."""
-    out = []
+def _color_set_candidates(colors, start, chosen, used):
+    """Yield every nonempty family of pairwise-disjoint colors (the possible
+    per-block color sets) that extends ``chosen`` by colors from
+    ``colors[start:]`` disjoint from ``used``."""
+    for i in range(start, len(colors)):
+        c = colors[i]
+        if used & c:
+            continue
+        nxt = chosen + (c,)
+        yield frozenset(nxt)
+        yield from _color_set_candidates(colors, i + 1, nxt, used | c)
 
-    def grow(start, chosen, used):
-        for i in range(start, len(distinct_colors)):
-            c = distinct_colors[i]
-            if used & c:
-                continue
-            nxt = chosen + (c,)
-            out.append(frozenset(nxt))
-            grow(i + 1, nxt, used | c)
 
-    grow(0, (), frozenset())
-    return out
+def _allocations(betas, i, remaining, alloc):
+    """Yield each extension of ``alloc`` by multiplicities for ``betas[i:]``
+    that uses up the ``remaining`` count of every color exactly."""
+    if i == len(betas):
+        if all(r == 0 for r in remaining.values()):
+            yield dict(alloc)
+        return
+    beta = betas[i]
+    limit = min(remaining[k] for k in beta)
+    for mult in range(limit + 1):
+        if mult:
+            alloc[beta] = mult
+        yield from _allocations(
+            betas, i + 1,
+            {k: r - (mult if k in beta else 0) for k, r in remaining.items()},
+            alloc)
+        alloc.pop(beta, None)
 
 
 def enumerate_classes(h: Graph, cover):
@@ -151,29 +162,8 @@ def enumerate_classes(h: Graph, cover):
                 for k in colors.values():
                     counts[k] = counts.get(k, 0) + 1
                 distinct = sorted(counts, key=lambda s: sorted(map(sorted, s)))
-                betas = _color_set_candidates(distinct)
-                # assign multiplicities so each color is used exactly enough
-                def assign(i, remaining, alloc):
-                    if i == len(betas):
-                        if all(r == 0 for r in remaining.values()):
-                            yield dict(alloc)
-                        return
-                    beta = betas[i]
-                    limit = min(remaining[k] for k in beta)
-                    for mult in range(limit + 1):
-                        if mult:
-                            alloc[beta] = mult
-                        yield from assign(
-                            i + 1,
-                            {k: r - (mult if k in beta else 0)
-                             for k, r in remaining.items()},
-                            alloc)
-                        alloc.pop(beta, None)
-
-                if not colors:
-                    yield rho_c, {}
-                    continue
-                for alloc in assign(0, dict(counts), {}):
+                betas = list(_color_set_candidates(distinct, 0, (), frozenset()))
+                for alloc in _allocations(betas, 0, counts, {}):
                     yield rho_c, alloc
 
 
@@ -209,9 +199,9 @@ def class_size(rho_c: CoverSubPartition, alloc, h: Graph) -> int:
 
 
 def build_representative(rho_c: CoverSubPartition, alloc, h: Graph):
-    """Greedy construction of one partition in the class, or None when the
-    class is empty (vertices run out, are left over, or the result is not
-    edge-injective)."""
+    """Greedy construction of one partition in the class; returns its
+    quotient graph, or None when the class is empty (vertices run out, are
+    left over, or the quotient is not edge-injective)."""
     colors = _free_colors(h, rho_c)
     pools = {}
     for v in sorted(colors):
@@ -227,11 +217,10 @@ def build_representative(rho_c: CoverSubPartition, alloc, h: Graph):
             blocks.append(block)
     if any(pools.values()):
         return None
-    rho = Partition(h.n, blocks)
-    q = quotient(h, rho)
+    q = quotient(h, Partition(h.n, blocks))
     if q.degenerate or not q.edge_injective:
         return None
-    return rho
+    return q.graph
 
 
 # ---------------------------------------------------------------------------
@@ -241,15 +230,18 @@ def count_emb_small_vc(f: Graph, g: Graph, bound: int = 6) -> int:
     """Embeddings of f into g in host-polynomial time for fixed cover size.
 
     Enumerates injective edge-preserving images of a minimum cover C' of f;
-    the remaining (independent) vertices are grouped by their required
-    neighborhood in C', the host vertices by which of those requirement sets
-    they satisfy, and the injective placements are counted by an exact
-    occupancy sum over the resulting cells.
+    the remaining (independent) vertices are grouped into classes by their
+    required neighborhood in C'.  Each class's candidate mask (the free host
+    vertices adjacent to the images of its whole requirement) is computed
+    once, when the last cover vertex of the requirement is placed, and
+    passed down; a class without requirement starts from the full mask.
+    At each complete cover placement the masks are cut to the free host
+    vertices and the injective placements are counted by an exact occupancy
+    sum that fills the cells of the masks' Venn diagram one by one.
 
-    Once the last cover vertex of a class's requirement is placed, a partial
-    placement whose free host vertices adjacent to all the required images
-    are fewer than the class's multiplicity is abandoned: deeper cover
-    placements only remove vertices from the free set, so it counts zero.
+    A partial placement whose mask for a class holds fewer vertices than
+    the class's multiplicity is abandoned: deeper cover placements only
+    remove vertices from the free set, so it counts zero.
     """
     if f.n == 0:
         return 1
@@ -266,97 +258,95 @@ def count_emb_small_vc(f: Graph, g: Graph, bound: int = 6) -> int:
     # checks[i]: the classes whose requirement is fully placed with cover[i]
     # (cover is sorted, so that is its highest requirement bit)
     checks = [[] for _ in cover]
-    for req, mult in classes:
+    for k, (req, mult) in enumerate(classes):
         if req:
-            checks[cover.index(req.bit_length() - 1)].append((req, mult))
+            checks[cover.index(req.bit_length() - 1)].append((k, req, mult))
+    full = (1 << g.n) - 1
+    return _place(f, g, cover, checks, 0, {}, full, [full] * len(classes),
+                  [mult for _, mult in classes])
+
+
+def _place(f: Graph, g: Graph, cover, checks, i, image, free, cand, mults) -> int:
+    """Count the embeddings of f that extend ``image``, the placement of
+    cover[:i], with the rest of g in the bitmask ``free``.  ``cand[k]`` is
+    class k's candidate mask once its requirement is placed; entries are
+    overwritten, never restored, since each is read only below the position
+    that sets it."""
+    if i == len(cover):
+        return _independent_count([c & free for c in cand], mults)
+    v = cover[i]
+    hosts = free
+    for u, x in image.items():
+        if f.masks[v] >> u & 1:
+            hosts &= g.masks[x]
     total = 0
-    image = {}
-
-    def place(i, free):
-        nonlocal total
-        if i == len(cover):
-            total += _independent_count(classes, image, free, g)
-            return
-        v = cover[i]
-        cand = free
-        for u, x in image.items():
-            if f.masks[v] >> u & 1:
-                cand &= g.masks[x]
-        for w in bits(cand):
-            image[v] = w
-            rest = free & ~(1 << w)
-            for req, mult in checks[i]:
-                if _candidates(req, image, rest, g).bit_count() < mult:
-                    break  # too few host vertices left for this class
-            else:
-                place(i + 1, rest)
-            del image[v]
-
-    place(0, (1 << g.n) - 1)
+    for w in bits(hosts):
+        image[v] = w
+        rest = free & ~(1 << w)
+        for k, req, mult in checks[i]:
+            c = rest
+            for u in bits(req):
+                c &= g.masks[image[u]]
+            if c.bit_count() < mult:
+                break  # too few host vertices left for this class
+            cand[k] = c
+        else:
+            total += _place(f, g, cover, checks, i + 1, image, rest, cand, mults)
+        del image[v]
     return total
 
 
-def _candidates(req, image, free, g: Graph) -> int:
-    """Bitmask of the free host vertices adjacent to the images of all the
-    cover vertices in the bitmask ``req``."""
-    for u in bits(req):
-        free &= g.masks[image[u]]
-    return free
+def _independent_count(cand_sets, mults) -> int:
+    """Count the injective maps that send mults[k] members of class k into
+    the bitmask cand_sets[k], for every k.
 
-
-def _independent_count(classes, image, free, g: Graph) -> int:
-    """Count injective placements of the independent pattern vertices.
-
-    classes: [(bitmask of the required cover-neighborhood, multiplicity)];
-    image: the fixed cover embedding; free: bitmask of the host vertices
-    outside it.  Host vertices are partitioned into cells by which
-    requirement sets they satisfy, and the count is a sum over all ways to
-    split each class across its feasible cells of multinomial coefficients
-    times falling factorials of the cell sizes.
+    Host vertices are grouped into cells by which candidate sets hold them
+    (vertices in none can take no member).  The cells are filled one by one,
+    each class over its cells in turn: putting t of the ``left`` unplaced
+    members of a class into a cell with r unused vertices weighs
+    C(left, t) * (r)_t, and the last cell of a class takes what is left.
     """
-    cand_sets = [_candidates(req, image, free, g) for req, _ in classes]
     union = 0
     for cand in cand_sets:
         union |= cand
-    # cells of the Venn diagram of the candidate sets (vertices in none can
-    # take no pattern vertex); bit i of a cell's key is set iff the cell
-    # lies in candidate set i
+    # bit k of a cell's key is set iff the cell lies in cand_sets[k]
     cells = {}
     for w in bits(union):
-        sig = sum(1 << i for i, cs in enumerate(cand_sets) if cs >> w & 1)
+        sig = sum(1 << k for k, cand in enumerate(cand_sets) if cand >> w & 1)
         cells[sig] = cells.get(sig, 0) + 1
-    cell_list = list(cells.items())
-    loads = [0] * len(cell_list)
-    total = 0
+    # slots: (cell, None) for each cell of a class but its last, and
+    # (cell, multiplicity of the next class) for its last
+    slots = []
+    for k in range(len(mults)):
+        feas = [j for j, sig in enumerate(cells) if sig >> k & 1]
+        if not feas:
+            return 0
+        slots += [(j, None) for j in feas[:-1]]
+        slots.append((feas[-1], mults[k + 1] if k + 1 < len(mults) else 0))
+    return _fill(slots, 0, mults[0] if mults else 0, list(cells.values()))
 
-    def distribute(ci, acc):
-        nonlocal total
-        if ci == len(classes):
-            val = acc
-            for (sig, size), load in zip(cell_list, loads):
-                for t in range(load):
-                    val *= size - t
-            total += val
-            return
-        req_i, mult = classes[ci]
-        feas = [j for j, (sig, size) in enumerate(cell_list) if sig >> ci & 1]
 
-        def split(fi, left, ways):
-            if fi == len(feas):
-                if left == 0:
-                    distribute(ci + 1, acc * ways)
-                return
-            j = feas[fi]
-            room = cell_list[j][1] - loads[j]
-            for take in range(0, min(left, room) + 1):
-                loads[j] += take
-                split(fi + 1, left - take, ways * comb(left, take))
-                loads[j] -= take
-
-        split(0, mult, 1)
-
-    distribute(0, 1)
-    return total
+def _fill(slots, s, left, room) -> int:
+    """Weighted count of the ways to fill ``slots[s:]``, with ``left``
+    members of the current class unplaced and room[j] unused vertices in
+    cell j."""
+    if s == len(slots):
+        return 1
+    j, nxt = slots[s]
+    r = room[j]
+    if nxt is not None:
+        if left > r:
+            return 0
+        room[j] = r - left
+        out = perm(r, left) * _fill(slots, s + 1, nxt, room)
+        room[j] = r
+        return out
+    out = 0
+    for t in range(min(left, r) + 1):
+        room[j] = r - t
+        out += comb(left, t) * perm(r, t) * _fill(slots, s + 1, left - t, room)
+    room[j] = r
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +366,14 @@ def count_edginj_poly(h: Graph, g: Graph, bound: int = 3) -> int:
             f"weak vertex-cover number {len(cover)} exceeds bound {bound}")
     total = 0
     for _, _, n_class, rep in realized_classes(core, cover):
-        q = quotient(core, rep)
-        total += n_class * count_emb_small_vc(q.graph, g, bound=bound)
+        total += n_class * count_emb_small_vc(rep, g, bound=bound)
     return mult * total
 
 
 def realized_classes(h: Graph, cover):
     """The equivalence classes the algorithm sums over, with their sizes and
-    one edge-injective representative each.  Yields (rho_c, alloc, size,
-    representative).  Every enumerated class is nonempty, so an empty one
+    the quotient of one representative each.  Yields (rho_c, alloc, size,
+    quotient graph).  Every enumerated class is nonempty, so an empty one
     raises rather than being dropped from the sum."""
     for rho_c, alloc in enumerate_classes(h, cover):
         size = class_size(rho_c, alloc, h)

@@ -79,11 +79,10 @@ def test_criterion_3_class_bookkeeping():
             continue
         cover = minimum_vertex_cover(core)
         total = 0
-        for rho_c, alloc, size, rep in eihom.realized_classes(core, cover):
+        for rho_c, alloc, size, rep_q in eihom.realized_classes(core, cover):
             total += size
             # the representative's quotient must represent its whole class
             from eicount.graphs import Partition, all_partitions, quotient
-            rep_q = quotient(core, rep).graph
             for blocks in all_partitions(range(core.n)):
                 rho = Partition(core.n, blocks)
                 q = quotient(core, rho)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -218,6 +219,54 @@ class TestEmbSmallVc:
         monkeypatch.setattr(eihom, "_independent_count", counted)
         assert count_emb_small_vc(f, g) == O.count_emb(f, g) == answer
         assert len(calls) <= max_calls
+
+
+def brute_independent_count(cand_sets, mults, n):
+    """Injective maps of the class members into n host vertices, member of
+    class k inside cand_sets[k], by listing every injective assignment."""
+    members = [k for k, mult in enumerate(mults) for _ in range(mult)]
+    return sum(all(cand_sets[k] >> w & 1 for k, w in zip(members, image))
+               for image in itertools.permutations(range(n), len(members)))
+
+
+class TestIndependentCount:
+    @pytest.mark.parametrize("cand_sets, mults, n, answer", [
+        ([0b0111, 0b1110], [2, 1], 4, 10),  # overlapping masks
+        ([0b0111, 0], [1, 1], 4, 0),        # an empty mask
+        ([0b0111, 0b0110], [2, 2], 4, 0),   # more members than vertices
+        ([0b11111], [3], 5, 60),            # one class: (5)_3
+        ([], [], 5, 1)])                    # no classes
+    def test_cases(self, cand_sets, mults, n, answer):
+        assert brute_independent_count(cand_sets, mults, n) == answer
+        assert eihom._independent_count(cand_sets, mults) == answer
+
+    def test_random_masks_against_brute_force(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            n = rng.randrange(1, 8)
+            k = rng.randrange(0, 4)
+            cand_sets = [rng.getrandbits(n) for _ in range(k)]
+            mults = [rng.randrange(1, 4) for _ in range(k)]
+            assert eihom._independent_count(cand_sets, mults) == \
+                brute_independent_count(cand_sets, mults, n)
+
+
+class TestNoCyclicGarbage:
+    """The search is made of plain functions and generators, so a count
+    leaves nothing for the cyclic collector to free."""
+
+    @pytest.mark.parametrize("count", [count_edginj_poly, count_emb_small_vc])
+    @pytest.mark.parametrize("h", [make_pattern("C", 6), make_pattern("kP2", 2)])
+    def test_count_leaves_no_cycles(self, count, h):
+        rng = random.Random(61)
+        g = Graph(20, rng.sample(list(itertools.combinations(range(20), 2)), 48))
+        gc.collect()
+        gc.disable()
+        try:
+            assert count(h, g) > 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCountEdginjPoly:
