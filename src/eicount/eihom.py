@@ -9,9 +9,12 @@ closed multinomial formula, and sums class-size times the embedding count of
 one representative quotient.  Embeddings of the quotients are counted by a
 cover-indexed enumeration.  Each neighborhood class of the independent
 vertices gets its candidate mask once, when its requirement is placed; at
-each complete cover placement an exact occupancy sum fills the cells of
-those masks one by one, weighing t of the ``left`` members of a class in a
-cell with r unused vertices by C(left, t) * (r)_t.
+each complete cover placement the masks' union is split by each mask into
+the cells of their Venn diagram, and an exact occupancy sum fills those
+cells one by one, weighing t of the ``left`` members of a class in a cell
+with r unused vertices by C(left, t) * (r)_t.  That sum depends only on the
+cells' signatures and sizes, so each embedding count memoises it per cell
+profile for the length of the call.
 """
 
 from __future__ import annotations
@@ -69,13 +72,16 @@ def reduce_isolated(h: Graph) -> ReducedPattern:
 
 class CoverSubPartition:
     """Partition of a subset D of the pattern's vertices into blocks that
-    all intersect the fixed cover; the vertices outside D are ``free``."""
+    all intersect the fixed cover; the vertices outside D are ``free``.
+    ``colors`` holds the pattern last given to ``_free_colors`` and the
+    colors of its free vertices."""
 
-    __slots__ = ("blocks", "domain")
+    __slots__ = ("blocks", "domain", "colors")
 
     def __init__(self, blocks):
         self.blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
         self.domain = frozenset(v for b in self.blocks for v in b)
+        self.colors = None
 
 
 def color_of(v, rho_c: CoverSubPartition, h: Graph):
@@ -87,7 +93,12 @@ def color_of(v, rho_c: CoverSubPartition, h: Graph):
 
 
 def _free_colors(h: Graph, rho_c: CoverSubPartition):
-    return {v: color_of(v, rho_c, h) for v in range(h.n) if v not in rho_c.domain}
+    """The color of each free vertex of h, computed once per (rho_c, h), so
+    that enumerating, sizing and building a class share one computation."""
+    if rho_c.colors is None or rho_c.colors[0] is not h:
+        rho_c.colors = (h, {v: color_of(v, rho_c, h)
+                            for v in range(h.n) if v not in rho_c.domain})
+    return rho_c.colors[1]
 
 
 def _color_set_candidates(colors, start, chosen, used):
@@ -237,7 +248,9 @@ def count_emb_small_vc(f: Graph, g: Graph, bound: int = 6) -> int:
     passed down; a class without requirement starts from the full mask.
     At each complete cover placement the masks are cut to the free host
     vertices and the injective placements are counted by an exact occupancy
-    sum that fills the cells of the masks' Venn diagram one by one.
+    sum that fills the cells of the masks' Venn diagram one by one.  The
+    class multiplicities are fixed for the call, so one dict, created here
+    and dropped on return, maps each cell profile to its sum.
 
     A partial placement whose mask for a class holds fewer vertices than
     the class's multiplicity is abandoned: deeper cover placements only
@@ -263,17 +276,18 @@ def count_emb_small_vc(f: Graph, g: Graph, bound: int = 6) -> int:
             checks[cover.index(req.bit_length() - 1)].append((k, req, mult))
     full = (1 << g.n) - 1
     return _place(f, g, cover, checks, 0, {}, full, [full] * len(classes),
-                  [mult for _, mult in classes])
+                  [mult for _, mult in classes], {})
 
 
-def _place(f: Graph, g: Graph, cover, checks, i, image, free, cand, mults) -> int:
+def _place(f: Graph, g: Graph, cover, checks, i, image, free, cand, mults,
+           memo) -> int:
     """Count the embeddings of f that extend ``image``, the placement of
     cover[:i], with the rest of g in the bitmask ``free``.  ``cand[k]`` is
     class k's candidate mask once its requirement is placed; entries are
     overwritten, never restored, since each is read only below the position
-    that sets it."""
+    that sets it.  ``memo`` is the call's cell-profile memo."""
     if i == len(cover):
-        return _independent_count([c & free for c in cand], mults)
+        return _independent_count([c & free for c in cand], mults, memo)
     v = cover[i]
     hosts = free
     for u, x in image.items():
@@ -291,39 +305,73 @@ def _place(f: Graph, g: Graph, cover, checks, i, image, free, cand, mults) -> in
                 break  # too few host vertices left for this class
             cand[k] = c
         else:
-            total += _place(f, g, cover, checks, i + 1, image, rest, cand, mults)
+            total += _place(f, g, cover, checks, i + 1, image, rest, cand,
+                            mults, memo)
         del image[v]
     return total
 
 
-def _independent_count(cand_sets, mults) -> int:
+def _independent_count(cand_sets, mults, memo=None) -> int:
     """Count the injective maps that send mults[k] members of class k into
     the bitmask cand_sets[k], for every k.
 
     Host vertices are grouped into cells by which candidate sets hold them
-    (vertices in none can take no member).  The cells are filled one by one,
-    each class over its cells in turn: putting t of the ``left`` unplaced
-    members of a class into a cell with r unused vertices weighs
-    C(left, t) * (r)_t, and the last cell of a class takes what is left.
+    (vertices in none can take no member); the count depends only on the
+    cell profile, so ``memo``, when given, maps profiles already counted
+    for these ``mults`` to their counts.
     """
+    profile = _cell_profile(cand_sets)
+    if memo is None:
+        return _count_profile(profile, mults)
+    out = memo.get(profile)
+    if out is None:
+        out = memo[profile] = _count_profile(profile, mults)
+    return out
+
+
+def _cell_profile(cand_sets):
+    """The signature and size of each nonempty cell of the candidate sets'
+    Venn diagram inside their union, flat as (sig_0, size_0, sig_1, ...),
+    where bit k of a signature is set iff the cell lies in cand_sets[k].
+    The union is split by each mask in turn, so the order of the cells
+    depends only on their signatures.  The tuple is flat, not one pair per
+    cell, so that a memo entry is one object."""
     union = 0
     for cand in cand_sets:
         union |= cand
-    # bit k of a cell's key is set iff the cell lies in cand_sets[k]
-    cells = {}
-    for w in bits(union):
-        sig = sum(1 << k for k, cand in enumerate(cand_sets) if cand >> w & 1)
-        cells[sig] = cells.get(sig, 0) + 1
+    cells = [(0, union)] if union else []
+    for k, cand in enumerate(cand_sets):
+        split = []
+        for sig, cell in cells:
+            inside = cell & cand
+            if inside:
+                split.append((sig | 1 << k, inside))
+            if inside != cell:
+                split.append((sig, cell ^ inside))
+        cells = split
+    profile = []
+    for sig, cell in cells:
+        profile += sig, cell.bit_count()
+    return tuple(profile)
+
+
+def _count_profile(profile, mults) -> int:
+    """The occupancy sum over the cells of ``profile``.  The cells are
+    filled one by one, each class over its cells in turn: putting t of the
+    ``left`` unplaced members of a class into a cell with r unused vertices
+    weighs C(left, t) * (r)_t, and the last cell of a class takes what is
+    left."""
     # slots: (cell, None) for each cell of a class but its last, and
     # (cell, multiplicity of the next class) for its last
+    sigs = profile[::2]
     slots = []
     for k in range(len(mults)):
-        feas = [j for j, sig in enumerate(cells) if sig >> k & 1]
+        feas = [j for j, sig in enumerate(sigs) if sig >> k & 1]
         if not feas:
             return 0
         slots += [(j, None) for j in feas[:-1]]
         slots.append((feas[-1], mults[k + 1] if k + 1 < len(mults) else 0))
-    return _fill(slots, 0, mults[0] if mults else 0, list(cells.values()))
+    return _fill(slots, 0, mults[0] if mults else 0, list(profile[1::2]))
 
 
 def _fill(slots, s, left, room) -> int:

@@ -24,6 +24,12 @@ def rand_graph(rng, n, p=0.45):
                      if rng.random() < p])
 
 
+def seeded_host():
+    """G(20, 48), seed 61."""
+    rng = random.Random(61)
+    return Graph(20, rng.sample(list(itertools.combinations(range(20), 2)), 48))
+
+
 class TestReduceIsolated:
     def test_single_vertex(self):
         r = reduce_isolated(Graph(1, []))
@@ -220,6 +226,52 @@ class TestEmbSmallVc:
         assert count_emb_small_vc(f, g) == O.count_emb(f, g) == answer
         assert len(calls) <= max_calls
 
+    @pytest.mark.parametrize("f", [make_pattern("C", 6), make_pattern("kP2", 2)])
+    def test_memo_counts_each_profile_once(self, monkeypatch, f):
+        g = seeded_host()
+        leaves, profiles = [], []
+        leaf, count_profile = eihom._independent_count, eihom._count_profile
+
+        def counted_leaf(*args):
+            leaves.append(1)
+            return leaf(*args)
+
+        def counted_profile(profile, mults):
+            profiles.append(profile)
+            return count_profile(profile, mults)
+
+        monkeypatch.setattr(eihom, "_independent_count", counted_leaf)
+        monkeypatch.setattr(eihom, "_count_profile", counted_profile)
+        sizes = {name: len(v) for name, v in vars(eihom).items()
+                 if isinstance(v, (dict, list))}
+        assert count_emb_small_vc(f, g) == O.count_emb(f, g) > 0
+        assert len(profiles) < len(leaves)
+        assert len(set(profiles)) == len(profiles)
+        # the memo lives in the call: no module-level container grew
+        assert sizes == {name: len(v) for name, v in vars(eihom).items()
+                         if isinstance(v, (dict, list))}
+
+    def test_many_cells_against_oracle(self):
+        # independent vertices in at least three neighbourhood classes, so
+        # the leaves split into many cells: C_6, K_{3,4} minus two disjoint
+        # edges (classes {1,2}, {0,2}, {0,1,2}) and random patterns
+        k34 = make_pattern("Kab", 3, 4)
+        patterns = [make_pattern("C", 6),
+                    Graph(7, [e for e in k34.edges if e not in ((0, 3), (1, 4))])]
+        rng = random.Random(13)
+        while len(patterns) < 18:
+            f = rand_graph(rng, rng.randrange(5, 8), 0.4)
+            cover = minimum_vertex_cover(f)
+            if len(cover) <= 3 and len(
+                    {f.masks[v] for v in range(f.n) if v not in cover}) >= 3:
+                patterns.append(f)
+        for f in patterns:
+            cover = minimum_vertex_cover(f)
+            assert len({f.masks[v] for v in range(f.n) if v not in cover}) >= 3
+            for _ in range(4):
+                g = rand_graph(rng, rng.randrange(7, 13), rng.choice((0.4, 0.6)))
+                assert count_emb_small_vc(f, g) == O.count_emb(f, g)
+
 
 def brute_independent_count(cand_sets, mults, n):
     """Injective maps of the class members into n host vertices, member of
@@ -250,6 +302,35 @@ class TestIndependentCount:
             assert eihom._independent_count(cand_sets, mults) == \
                 brute_independent_count(cand_sets, mults, n)
 
+    @staticmethod
+    def random_family(rng):
+        """Up to 4 masks over at most 12 vertices, some empty or repeated."""
+        n = rng.randrange(1, 13)
+        family = []
+        for _ in range(rng.randrange(0, 5)):
+            roll = rng.random()
+            if roll < 0.15:
+                family.append(0)
+            elif roll < 0.3 and family:
+                family.append(rng.choice(family))
+            else:
+                family.append(rng.getrandbits(n))
+        return family, n
+
+    def test_cell_profile_matches_vertex_signatures(self):
+        rng = random.Random(14)
+        families = [([], 4), ([0], 4), ([0, 0], 4), ([0b1011, 0b1011], 4)]
+        families += [self.random_family(rng) for _ in range(300)]
+        for cand_sets, n in families:
+            want = {}
+            for w in range(n):
+                sig = sum(1 << k for k, c in enumerate(cand_sets) if c >> w & 1)
+                if sig:
+                    want[sig] = want.get(sig, 0) + 1
+            profile = eihom._cell_profile(cand_sets)
+            assert dict(zip(profile[::2], profile[1::2])) == want
+            assert len(profile) == 2 * len(want)
+
 
 class TestNoCyclicGarbage:
     """The search is made of plain functions and generators, so a count
@@ -258,8 +339,7 @@ class TestNoCyclicGarbage:
     @pytest.mark.parametrize("count", [count_edginj_poly, count_emb_small_vc])
     @pytest.mark.parametrize("h", [make_pattern("C", 6), make_pattern("kP2", 2)])
     def test_count_leaves_no_cycles(self, count, h):
-        rng = random.Random(61)
-        g = Graph(20, rng.sample(list(itertools.combinations(range(20), 2)), 48))
+        g = seeded_host()
         gc.collect()
         gc.disable()
         try:
