@@ -8,6 +8,7 @@ Vertices are the dense integers ``0 .. n-1``; an edge is the sorted pair
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 
 from .config import check_cap
 
@@ -42,6 +43,9 @@ def bfs_layers(masks, sources: int):
         seen |= frontier
 
 
+_NO_META = MappingProxyType({})
+
+
 class Graph:
     """Loop-free simple graph, optionally edge-colored and edge-weighted.
 
@@ -51,7 +55,9 @@ class Graph:
     color maps every colored edge to an id in 1..k (k = declared color
     count); weight, if present, must be defined for every edge and be a
     nonnegative integer.  ``meta`` carries anchor-vertex bookkeeping for
-    gadget constructions and never takes part in equality.
+    gadget constructions, in a dict of the graph's own, and never takes
+    part in equality; graphs built without it share one read-only empty
+    mapping.
     """
 
     __slots__ = ("n", "edges", "color", "weight", "k", "meta", "_masks")
@@ -87,7 +93,7 @@ class Graph:
             if any(w < 0 for w in weight.values()):
                 raise ValueError("negative edge weight")
         self.weight = weight
-        self.meta = dict(meta) if meta else {}
+        self.meta = dict(meta) if meta else _NO_META
         self._masks = None
 
     @property

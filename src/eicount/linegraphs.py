@@ -20,7 +20,7 @@ from .graphs import Graph, bits, edge
 from .oracles import count_odd_edge_sets_enum, count_perfect_matchings
 
 
-class DecompositionError(Exception):
+class DecompositionError(ValueError):
     """The input does not decompose into a perfect matching plus a perfect
     triangle packing (so it is not a 3-regular line graph we can handle)."""
 
@@ -175,7 +175,7 @@ def extract_digits_base_r(total: int, radix: int, ndigits: int):
     return out
 
 
-class DigitOverflowError(Exception):
+class DigitOverflowError(ValueError):
     """Some per-cardinality count reaches the radix, so the digit encoding
     would be ambiguous at this collar length."""
 

@@ -10,7 +10,7 @@ eicount._backend.run_kernel.
 from __future__ import annotations
 
 import itertools
-from math import factorial
+from math import factorial, perm
 
 from ._backend import run_kernel
 from ._kernels_py import MODE_EDGINJ, MODE_EMB, MODE_HOM
@@ -60,12 +60,39 @@ def _is_cycle(h: Graph) -> bool:
             and len(h.components()) == 1)
 
 
+def _peeled_factor(h: Graph, g: Graph, mode: int, weighted: bool):
+    """Split off the pattern components whose maps count in closed form.
+
+    Returns (rest of the pattern, factor): the map count of ``h`` is the
+    factor times the count of the rest.  An isolated vertex has no edge to
+    collide with, so it adds a factor n, or under embeddings one of the
+    vertices the rest leaves free.  An isolated edge adds 2m under
+    homomorphisms and, unweighted, 2(m - |E(rest)| - j) for the j-th such
+    edge under edge-injective maps, since the rest uses exactly |E(rest)|
+    host edges; weighted or vertex-injective, its count depends on where the
+    rest lands, so it stays in the search."""
+    masks = h.masks
+    isolated = [v for v in range(h.n) if not masks[v]]
+    pairs = []
+    if mode == MODE_HOM or (mode == MODE_EDGINJ and not weighted):
+        pairs = [v for v, m in enumerate(masks)
+                 if m.bit_count() == 1 and masks[m.bit_length() - 1] == 1 << v]
+    if isolated or pairs:
+        h = h.remove_vertices(isolated + pairs)
+    if mode == MODE_EMB:
+        factor = perm(g.n - h.n, len(isolated)) if h.n <= g.n else 0
+    else:
+        factor = g.n ** len(isolated)
+    for j in range(len(pairs) // 2):
+        factor *= 2 * g.m if mode == MODE_HOM else max(0, 2 * (g.m - h.m - j))
+    return h, factor
+
+
 def _count_maps(h: Graph, g: Graph, mode: int, weighted: bool = False) -> int:
     if h.n == 0:
         return 1
     if g.n == 0:
         return 0
-    _, parents, anchor, adist = _pattern_encoding(h)
     weights = None
     if weighted:
         if g.weight is None:
@@ -74,12 +101,16 @@ def _count_maps(h: Graph, g: Graph, mode: int, weighted: bool = False) -> int:
         for (u, v), w in g.weight.items():
             weights[u][v] = w
             weights[v][u] = w
+    h, factor = _peeled_factor(h, g, mode, weighted)
+    if factor == 0 or h.n == 0:
+        return factor
+    _, parents, anchor, adist = _pattern_encoding(h)
     # the rooted search keeps one map per orbit of Aut(C_L) (2L elements)
     # and orientation of its least image edge
     rooted = mode != MODE_HOM and _is_cycle(h)
     count = run_kernel("count_maps", g.n, g.masks, mode, parents, anchor,
                        adist, weights, rooted)
-    return h.m * count if rooted else count
+    return factor * (h.m * count if rooted else count)
 
 
 def count_hom(h: Graph, g: Graph) -> int:

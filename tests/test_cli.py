@@ -247,3 +247,76 @@ class TestEntryPoint:
                               env=self.child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "180/180 checks passed"
+
+
+class TestImportFootprint:
+    """A fresh ``python -m eicount.cli`` child, with no bytecode cache,
+    imports only the modules its route runs."""
+
+    ROUTE_MODULES = {"holant", "reductions", "verify", "eihom", "linegraphs"}
+    # runs ``python -m eicount.cli`` and, at exit, writes the eicount
+    # modules in sys.modules as the last line of stderr
+    PROBE = ("import atexit, runpy, sys\n"
+             "atexit.register(lambda: print(*sorted(\n"
+             "    m for m in sys.modules if m.startswith('eicount.')),\n"
+             "    file=sys.stderr))\n"
+             "runpy.run_module('eicount.cli', run_name='__main__', "
+             "alter_sys=True)\n")
+
+    @staticmethod
+    def run_child(*args):
+        env = {**TestEntryPoint.child_env(), "PYTHONDONTWRITEBYTECODE": "1"}
+        return subprocess.run([sys.executable, *args],
+                              capture_output=True, text=True, env=env)
+
+    def loaded(self, *argv):
+        """Run the CLI with ``argv``; (exit code, stdout, the rest of
+        stderr, names of the eicount modules loaded at exit)."""
+        proc = self.run_child("-c", self.PROBE, *argv)
+        *err, modules = proc.stderr.splitlines()
+        return (proc.returncode, proc.stdout, "\n".join(err),
+                {m[len("eicount."):] for m in modules.split()})
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "hom", "--pattern", "builtin:P,2", "--host", "builtin:K,3"],
+        ["gen", "collar", "2"]])
+    def test_small_commands_load_no_route_module(self, argv):
+        code, out, err, modules = self.loaded(*argv)
+        assert code == 0 and out, err
+        assert "graphs" in modules
+        assert not modules & self.ROUTE_MODULES
+
+    def test_odd_edge_sets_poly_loads_linegraphs_only(self):
+        code, out, err, modules = self.loaded(
+            "count", "odd-edge-sets", "--algo", "poly", "--host", "builtin:K,4")
+        assert code == 0 and out.strip() == "8", err
+        assert "linegraphs" in modules
+        assert not modules & {"holant", "reductions", "verify"}
+
+    def test_verify_all_loads_the_suites(self):
+        code, out, err, modules = self.loaded("verify", "all")
+        assert code == 0, err
+        assert out.splitlines()[-1] == "180/180 checks passed"
+        assert self.ROUTE_MODULES <= modules
+
+    def test_verify_help(self):
+        code, out, err, modules = self.loaded("verify", "--help")
+        assert code == 0 and "suite" in out, err
+        assert "verify" not in modules
+
+    def test_error_needs_no_preloaded_route_module(self):
+        code, out, err, _ = self.loaded(
+            "count", "perfmatch", "--algo", "poly", "--host", "builtin:C,6")
+        assert code == 2 and out == ""
+        assert err == "error: graph is not 3-regular"
+
+    def test_public_names_resolve(self):
+        proc = self.run_child("-c", (
+            "import eicount\n"
+            "for name in eicount.__all__:\n"
+            "    getattr(eicount, name)\n"
+            "assert eicount.holant.__name__ == 'eicount.holant'\n"
+            "from eicount import *\n"
+            "print(len(eicount.__all__), count_edginj_poly.__module__)\n"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["23", "eicount.eihom"]

@@ -51,6 +51,22 @@ class TestGraph:
         with pytest.raises(ValueError, match="negative vertex count -3"):
             Graph(-3, [])
 
+    def test_meta_less_graphs_share_one_read_only_meta(self):
+        a, b = Graph(3, [(0, 1)]), make_pattern("K", 4)
+        assert a.meta is b.meta and len(a.meta) == 0
+        with pytest.raises(TypeError):
+            a.meta["hub"] = 0
+
+    def test_gadget_meta_is_private(self):
+        given = {"u": 0}
+        g = Graph(2, [(0, 1)], meta=given)
+        given["u"] = 1
+        assert g.meta == {"u": 0}
+        c1, c2 = make_pattern("collar", 2), make_pattern("collar", 2)
+        assert c1.meta == c2.meta and c1.meta is not c2.meta
+        c1.meta["u"] = -1
+        assert c2.meta["u"] == 0
+
     def test_components(self):
         g = Graph(7, [(4, 1), (1, 6), (2, 5)])
         assert g.components() == [[0], [1, 4, 6], [2, 5], [3]]

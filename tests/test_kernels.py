@@ -208,18 +208,84 @@ def test_only_cycles_take_the_rooted_search(monkeypatch):
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     unrooted = [(make_pattern("C", k), _kernels_py.MODE_HOM, O.count_hom)
                 for k in (3, 4, 5)]
-    for h in [two_triangles, make_pattern("P", 1), make_pattern("P", 3),
-              make_pattern("Kab", 1, 3)]:
+    for h in [two_triangles, make_pattern("P", 3), make_pattern("Kab", 1, 3)]:
         unrooted += [(h, _kernels_py.MODE_EMB, O.count_emb),
                      (h, _kernels_py.MODE_EDGINJ, O.count_edginj)]
+    # an isolated edge is searched only under embeddings
+    unrooted.append((make_pattern("P", 1), _kernels_py.MODE_EMB, O.count_emb))
     for h, mode, count in unrooted:
         calls.clear()
         assert count(h, g) == brute_maps(h, g, mode)
         assert calls == [("count_maps", False)]
+    for mode, count in [(_kernels_py.MODE_HOM, O.count_hom),
+                        (_kernels_py.MODE_EDGINJ, O.count_edginj)]:
+        calls.clear()
+        assert count(make_pattern("P", 1), g) == brute_maps(
+            make_pattern("P", 1), g, mode)
+        assert calls == []
     for count in (O.count_emb, O.count_edginj):
         calls.clear()
         count(make_pattern("C", 4), g)
         assert calls == [("count_maps", True)]
+
+
+def with_isolated_parts(h, i, t):
+    """h plus i isolated vertices and t isolated edges."""
+    n = h.n + i
+    return Graph(n + 2 * t, [*h.edges, *((n + 2 * j, n + 2 * j + 1)
+                                         for j in range(t))])
+
+
+def test_isolated_parts_count_in_closed_form():
+    rng = random.Random(5)
+    cores = [Graph(0, []), make_pattern("P", 1), make_pattern("P", 2),
+             make_pattern("C", 3)]
+    hosts = [Graph(0, []), Graph(1, []), Graph(3, []), make_pattern("P", 1),
+             make_pattern("K", 3)]
+    hosts += [rand_graph(rng, rng.randrange(2, 6)) for _ in range(4)]
+    modes = [(_kernels_py.MODE_HOM, O.count_hom),
+             (_kernels_py.MODE_EMB, O.count_emb),
+             (_kernels_py.MODE_EDGINJ, O.count_edginj)]
+    for core in cores:
+        for i, t in [(1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (2, 1)]:
+            h = with_isolated_parts(core, i, t)
+            if h.n > 6:
+                continue
+            for g in hosts:
+                for mode, count in modes:
+                    assert count(h, g) == brute_maps(h, g, mode), (h, g, mode)
+                weight = {e: rng.randrange(0, 4) for e in g.edges}
+                gw = Graph(g.n, g.edges, weight=weight)
+                assert O.count_edginj_weighted(h, gw) == brute_maps(
+                    h, g, _kernels_py.MODE_EDGINJ, weight), (h, g)
+
+
+def test_isolated_parts_leave_the_search(monkeypatch):
+    # C_4 + K_1 + K_2 searches only its C_4 under hom and edge-injective
+    # maps (rooted as a cycle under the latter); embeddings and weighted
+    # maps keep the K_2 in the search
+    positions = []
+
+    def recording(name, *args):
+        if name == "count_maps":
+            positions.append((len(args[3]), args[-1]))
+        return _backend.run_kernel(name, *args)
+
+    monkeypatch.setattr(O, "run_kernel", recording)
+    h = with_isolated_parts(make_pattern("C", 4), 1, 1)
+    g = rand_graph(random.Random(6), 8, 0.6)
+    gw = Graph(g.n, g.edges, weight=dict.fromkeys(g.edges, 2))
+    for count, host, searched in [(O.count_hom, g, (4, False)),
+                                  (O.count_edginj, g, (4, True)),
+                                  (O.count_emb, g, (6, False)),
+                                  (O.count_edginj_weighted, gw, (6, False))]:
+        positions.clear()
+        count(h, host)
+        assert positions == [searched]
+    positions.clear()
+    assert O.count_edginj(with_isolated_parts(Graph(0, []), 3, 2), g) == \
+        g.n ** 3 * 2 * g.m * 2 * (g.m - 1)
+    assert positions == []
 
 
 def test_rooted_mode_needs_a_root_edge():

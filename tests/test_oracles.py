@@ -75,11 +75,12 @@ class TestSearchBudget:
 
     def test_images_tried_at_the_cap_are_admitted(self, monkeypatch):
         # 3 images for the first end of the edge, 2 for the other per first
+        # (an isolated edge is searched only under embeddings)
         monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "9")
-        assert O.count_hom(make_pattern("P", 1), K3) == 6
+        assert O.count_emb(make_pattern("P", 1), K3) == 6
         monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "8")
         with pytest.raises(CapExceeded, match="more than 8 images"):
-            O.count_hom(make_pattern("P", 1), K3)
+            O.count_emb(make_pattern("P", 1), K3)
 
     def test_small_budget_stops_a_small_hard_search(self, monkeypatch):
         monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "1000")
