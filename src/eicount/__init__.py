@@ -15,8 +15,8 @@ from importlib import import_module
 # each public name, listed under the submodule that defines it
 _EXPORTS = {
     "_backend": ["BACKEND"],
-    "graphs": ["Graph", "Partition", "line_graph", "make_pattern",
-               "parse_graph", "quotient", "serialize_graph", "subdivide",
+    "graphs": ["Graph", "line_graph", "make_pattern", "parse_graph",
+               "quotient", "serialize_graph", "subdivide",
                "vertex_cover_number"],
     "oracles": ["count_edge_disjoint", "count_edginj",
                 "count_edginj_via_partition_sum", "count_edginj_weighted",

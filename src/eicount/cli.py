@@ -22,7 +22,6 @@ command compiles only what it needs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import eicount as pkg
@@ -127,6 +126,7 @@ def _run_count(args) -> int:
     value = routes[algo](pattern, host, args)
 
     if args.format == "json":
+        import json
         params = {"k": args.k, "pattern": args.pattern, "host": args.host,
                   "ell": args.ell}
         print(json.dumps({"quantity": q, "value": str(value), "algo": algo,

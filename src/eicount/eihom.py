@@ -24,7 +24,7 @@ from math import comb, factorial, perm
 
 from .config import CapExceeded
 from .exact import multinomial
-from .graphs import (Graph, Partition, all_partitions, bits,
+from .graphs import (Graph, all_partitions, bits, isolated_parts,
                      minimum_vertex_cover, quotient)
 
 
@@ -53,18 +53,9 @@ class ReducedPattern:
 
 def reduce_isolated(h: Graph) -> ReducedPattern:
     """Exhaustively remove isolated vertices and isolated-edge components."""
-    iso_vertices = 0
-    removed_edges = 0
-    drop = set()
-    for comp in h.components():
-        if len(comp) == 1:
-            iso_vertices += 1
-            drop.update(comp)
-        elif len(comp) == 2 and h.has_edge(comp[0], comp[1]):
-            removed_edges += 1
-            drop.update(comp)
-    return ReducedPattern(h.remove_vertices(drop), iso_vertices,
-                          removed_edges, h.m)
+    isolated, pairs = isolated_parts(h)
+    return ReducedPattern(h.remove_vertices(isolated + pairs), len(isolated),
+                          len(pairs) // 2, h.m)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +155,9 @@ def enumerate_classes(h: Graph, cover):
                 if any(not (set(b) & cover) for b in blocks):
                     continue
                 rho_c = CoverSubPartition(blocks)
-                singles = [[v] for v in range(h.n) if v not in rho_c.domain]
-                q = quotient(h, Partition(h.n, list(rho_c.blocks) + singles))
-                if q.degenerate or not q.edge_injective:
+                singles = tuple((v,) for v in range(h.n)
+                                if v not in rho_c.domain)
+                if quotient(h, rho_c.blocks + singles) is None:
                     continue
                 colors = _free_colors(h, rho_c)
                 counts = {}
@@ -228,10 +219,7 @@ def build_representative(rho_c: CoverSubPartition, alloc, h: Graph):
             blocks.append(block)
     if any(pools.values()):
         return None
-    q = quotient(h, Partition(h.n, blocks))
-    if q.degenerate or not q.edge_injective:
-        return None
-    return q.graph
+    return quotient(h, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +244,8 @@ def count_emb_small_vc(f: Graph, g: Graph, bound: int = 6) -> int:
     the class's multiplicity is abandoned: deeper cover placements only
     remove vertices from the free set, so it counts zero.
     """
+    if bound < 0:
+        raise ValueError(f"cover bound must be >= 0, got {bound}")
     if f.n == 0:
         return 1
     if f.n > g.n:
@@ -403,6 +393,8 @@ def _fill(slots, s, left, room) -> int:
 def count_edginj_poly(h: Graph, g: Graph, bound: int = 3) -> int:
     """Edge-injective homomorphism count for patterns of weak vertex-cover
     number at most ``bound``, via class-collected quotient embeddings."""
+    if bound < 0:
+        raise ValueError(f"cover bound must be >= 0, got {bound}")
     red = reduce_isolated(h)
     mult = red.multiplier(g)
     core = red.core
@@ -436,9 +428,5 @@ def realized_classes(h: Graph, cover):
 def count_edge_injective_partitions(h: Graph) -> int:
     """Ground truth for the class bookkeeping: the number of edge-injective,
     loop-free vertex partitions of h, by direct enumeration."""
-    total = 0
-    for blocks in all_partitions(range(h.n)):
-        q = quotient(h, Partition(h.n, blocks))
-        if not q.degenerate and q.edge_injective:
-            total += 1
-    return total
+    return sum(quotient(h, blocks) is not None
+               for blocks in all_partitions(range(h.n)))

@@ -168,48 +168,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class Partition:
-    """A partition of ``0 .. n-1`` into disjoint nonempty blocks."""
-
-    __slots__ = ("n", "blocks")
-
-    def __init__(self, n, blocks):
-        self.n = int(n)
-        bs = sorted(tuple(sorted(b)) for b in blocks)
-        seen = set()
-        for b in bs:
-            if not b:
-                raise ValueError("empty block")
-            for v in b:
-                if v in seen or not 0 <= v < self.n:
-                    raise ValueError("blocks must be disjoint and in range")
-                seen.add(v)
-        if len(seen) != self.n:
-            raise ValueError("blocks must cover the vertex set")
-        self.blocks = tuple(bs)
-
-    @staticmethod
-    def singletons(n) -> "Partition":
-        return Partition(n, [[v] for v in range(n)])
-
-    def block_of(self):
-        """Vertex -> block index."""
-        who = [None] * self.n
-        for i, b in enumerate(self.blocks):
-            for v in b:
-                who[v] = i
-        return who
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and (self.n, self.blocks) == (other.n, other.blocks)
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
-
-    def __repr__(self):
-        return f"Partition({self.blocks})"
-
-
 def all_partitions(items):
     """Yield all set partitions of ``items`` (restricted-growth order)."""
     items = list(items)
@@ -223,43 +181,38 @@ def all_partitions(items):
         yield [[first]] + part
 
 
-class QuotientResult:
-    """Outcome of contracting a partition: the quotient graph (or a
-    degeneracy marker when a block contains adjacent vertices) plus the
-    edge-injectivity verdict for the partition."""
+def quotient(h: Graph, blocks):
+    """Merge each block into one vertex; None if the merge is not loop-free
+    and edge-injective.
 
-    __slots__ = ("graph", "degenerate", "edge_injective")
-
-    def __init__(self, graph, degenerate, edge_injective):
-        self.graph = graph
-        self.degenerate = degenerate
-        self.edge_injective = edge_injective
-
-
-def quotient(h: Graph, rho: Partition) -> QuotientResult:
-    """Merge each block of ``rho`` into one vertex.
-
-    Block i becomes vertex i (blocks in the partition's sorted order).  A
-    block containing two adjacent vertices would create a loop; that is
-    reported as ``degenerate`` rather than raised, since such partitions
-    contribute zero to every counting identity over loop-free hosts.
+    ``blocks`` is any iterable of vertex collections that partitions
+    ``0 .. h.n-1`` into nonempty blocks (a ValueError otherwise).  Block i
+    in order of least vertex becomes vertex i.  The result is None as soon
+    as a block holds an edge (a loop) or two edges join the same pair of
+    blocks (a collision): such partitions contribute zero to every
+    edge-injective counting identity over loop-free hosts.
     """
-    if rho.n != h.n:
-        raise ValueError("partition does not match vertex set")
-    who = rho.block_of()
-    multiplicity = {}
-    degenerate = False
+    bs = sorted(tuple(sorted(b)) for b in blocks)
+    who = [None] * h.n
+    for i, b in enumerate(bs):
+        if not b:
+            raise ValueError("empty block")
+        for v in b:
+            if not 0 <= v < h.n or who[v] is not None:
+                raise ValueError("blocks must be disjoint and in range")
+            who[v] = i
+    if None in who:
+        raise ValueError("blocks must cover the vertex set")
+    pairs = set()
     for u, v in h.edges:
         bu, bv = who[u], who[v]
         if bu == bv:
-            degenerate = True
-            continue
+            return None
         key = (bu, bv) if bu < bv else (bv, bu)
-        multiplicity[key] = multiplicity.get(key, 0) + 1
-    edge_injective = not degenerate and all(c == 1 for c in multiplicity.values())
-    if degenerate:
-        return QuotientResult(None, True, False)
-    return QuotientResult(Graph(len(rho.blocks), multiplicity.keys()), False, edge_injective)
+        if key in pairs:
+            return None
+        pairs.add(key)
+    return Graph(len(bs), pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +418,15 @@ def subdivide(g: Graph, t: int, color_policy=None) -> Graph:
 # ---------------------------------------------------------------------------
 # vertex covers
 
-def _isolated_edge_components(g: Graph):
-    return [c for c in g.components() if len(c) == 2 and g.has_edge(c[0], c[1])]
+def isolated_parts(g: Graph):
+    """The isolated vertices of g and the vertices of its isolated-edge (K_2)
+    components, two per component, as two increasing lists; one scan of
+    ``g.masks``."""
+    masks = g.masks
+    isolated = [v for v, m in enumerate(masks) if not m]
+    pairs = [v for v, m in enumerate(masks)
+             if m.bit_count() == 1 and masks[m.bit_length() - 1] == 1 << v]
+    return isolated, pairs
 
 
 def minimum_vertex_cover(g: Graph):
@@ -487,8 +447,7 @@ def vertex_cover_number(g: Graph, weak: bool = False) -> int:
     """Minimum (weak) vertex-cover size.  The weak variant first deletes all
     isolated-edge components."""
     if weak:
-        drop = {v for comp in _isolated_edge_components(g) for v in comp}
-        g = g.remove_vertices(drop)
+        g = g.remove_vertices(isolated_parts(g)[1])
     return len(minimum_vertex_cover(g))
 
 

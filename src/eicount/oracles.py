@@ -15,8 +15,7 @@ from math import factorial, perm
 from ._backend import run_kernel
 from ._kernels_py import MODE_EDGINJ, MODE_EMB, MODE_HOM
 from .config import check_cap
-from .exact import exact_quotient
-from .graphs import (Graph, Partition, all_partitions, bfs_layers, bits,
+from .graphs import (Graph, all_partitions, bfs_layers, bits, isolated_parts,
                      line_graph, make_pattern, quotient)
 
 
@@ -71,12 +70,9 @@ def _peeled_factor(h: Graph, g: Graph, mode: int, weighted: bool):
     edge under edge-injective maps, since the rest uses exactly |E(rest)|
     host edges; weighted or vertex-injective, its count depends on where the
     rest lands, so it stays in the search."""
-    masks = h.masks
-    isolated = [v for v in range(h.n) if not masks[v]]
-    pairs = []
-    if mode == MODE_HOM or (mode == MODE_EDGINJ and not weighted):
-        pairs = [v for v, m in enumerate(masks)
-                 if m.bit_count() == 1 and masks[m.bit_length() - 1] == 1 << v]
+    isolated, pairs = isolated_parts(h)
+    if not (mode == MODE_HOM or (mode == MODE_EDGINJ and not weighted)):
+        pairs = []
     if isolated or pairs:
         h = h.remove_vertices(isolated + pairs)
     if mode == MODE_EMB:
@@ -235,6 +231,7 @@ def count_odd_edge_sets_enum(g: Graph, by_cardinality: bool = False):
 def count_edge_disjoint(g: Graph, k: int, kind: str) -> int:
     """Edge-disjoint k-cycles (closed walks with distinct edges, unrooted and
     unoriented) or k-paths, via the edge-injective oracle."""
+    from .exact import exact_quotient
     if kind == "cycle":
         if k < 3:
             raise ValueError("cycles need k >= 3")
@@ -250,6 +247,7 @@ def count_edge_disjoint(g: Graph, k: int, kind: str) -> int:
 
 def count_simple_cycles(g: Graph, k: int) -> int:
     """Simple (vertex-distinct) k-cycles, via the embedding oracle."""
+    from .exact import exact_quotient
     if k < 3:
         raise ValueError("cycles need k >= 3")
     return exact_quotient(count_emb(make_pattern("C", k), g), 2 * k,
@@ -263,10 +261,9 @@ def count_edginj_via_partition_sum(h: Graph, g: Graph) -> int:
     check_cap("PATTERN_CAP", h.n)
     total = 0
     for blocks in all_partitions(range(h.n)):
-        q = quotient(h, Partition(h.n, blocks))
-        if q.degenerate or not q.edge_injective:
-            continue
-        total += count_emb(q.graph, g)
+        q = quotient(h, blocks)
+        if q is not None:
+            total += count_emb(q, g)
     return total
 
 

@@ -125,6 +125,14 @@ class TestCount:
                       "--bound", bound)
         assert got[:2] == (code, want)
 
+    @pytest.mark.parametrize("quantity", ["emb", "edginj"])
+    def test_negative_bound_is_bad_input(self, capsys, quantity):
+        code, out, err = run_cli(capsys, "count", quantity, "--algo", "poly",
+                                 "--pattern", "builtin:P,2",
+                                 "--host", "builtin:K,3", "--bound", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: cover bound must be >= 0, got -1\n"
+
     def test_usage_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "count", "matchings",
                                "--host", "builtin:C,6", "--k", "2",
@@ -285,6 +293,8 @@ class TestImportFootprint:
         assert code == 0 and out, err
         assert "graphs" in modules
         assert not modules & self.ROUTE_MODULES
+        # oracles needs exact only for its exact divisions
+        assert "exact" not in modules
 
     def test_odd_edge_sets_poly_loads_linegraphs_only(self):
         code, out, err, modules = self.loaded(
@@ -319,4 +329,4 @@ class TestImportFootprint:
             "from eicount import *\n"
             "print(len(eicount.__all__), count_edginj_poly.__module__)\n"))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["23", "eicount.eihom"]
+        assert proc.stdout.split() == ["22", "eicount.eihom"]

@@ -11,7 +11,7 @@ from eicount.eihom import (CoverSubPartition, build_representative,
                            class_size, color_of, count_edge_injective_partitions,
                            count_edginj_poly, count_emb_small_vc,
                            enumerate_classes, realized_classes, reduce_isolated)
-from eicount.graphs import (Graph, Partition, all_partitions, make_pattern,
+from eicount.graphs import (Graph, all_partitions, make_pattern,
                             minimum_vertex_cover, quotient,
                             vertex_cover_number)
 
@@ -132,15 +132,14 @@ class TestClasses:
             cover = minimum_vertex_cover(core)
             groups = {}
             for blocks in all_partitions(range(core.n)):
-                rho = Partition(core.n, blocks)
-                q = quotient(core, rho)
-                if q.degenerate or not q.edge_injective:
+                q = quotient(core, blocks)
+                if q is None:
                     continue
-                cover_blocks = tuple(sorted(
-                    b for b in rho.blocks if set(b) & cover))
+                rho = sorted(tuple(sorted(b)) for b in blocks)
+                cover_blocks = tuple(b for b in rho if set(b) & cover)
                 rho_c = CoverSubPartition(cover_blocks)
                 alloc = {}
-                for b in rho.blocks:
+                for b in rho:
                     if set(b) & cover:
                         continue
                     beta = frozenset(color_of(v, rho_c, core) for v in b)
@@ -148,7 +147,7 @@ class TestClasses:
                 key = (cover_blocks, tuple(sorted(
                     (sorted(map(sorted, map(sorted, beta))), m)
                     for beta, m in alloc.items())))
-                groups.setdefault(str(key), []).append(q.graph)
+                groups.setdefault(str(key), []).append(q)
             for qs in groups.values():
                 assert all(O.is_isomorphic(qs[0], q2) for q2 in qs[1:])
 
@@ -159,10 +158,9 @@ class TestClasses:
             cover = minimum_vertex_cover(core)
             want = set()
             for blocks in all_partitions(range(core.n)):
-                rho = Partition(core.n, blocks)
-                q = quotient(core, rho)
-                if not q.degenerate and q.edge_injective:
-                    want.add(tuple(b for b in rho.blocks if set(b) & cover))
+                if quotient(core, blocks) is not None:
+                    rho = sorted(tuple(sorted(b)) for b in blocks)
+                    want.add(tuple(b for b in rho if set(b) & cover))
             got = {rho_c.blocks for rho_c, _ in enumerate_classes(core, cover)}
             assert got == want
 
@@ -370,6 +368,14 @@ class TestCountEdginjPoly:
     def test_bound_enforced(self):
         with pytest.raises(CapExceeded):
             count_edginj_poly(make_pattern("K", 6), K4, bound=2)
+
+    @pytest.mark.parametrize("count", [count_edginj_poly, count_emb_small_vc])
+    @pytest.mark.parametrize("h", [Graph(0, []), make_pattern("kK2", 2),
+                                   make_pattern("K", 6)])
+    def test_negative_bound_rejected_first(self, count, h):
+        # even where the bound would never be compared with a cover
+        with pytest.raises(ValueError, match="cover bound must be >= 0"):
+            count(h, K4, bound=-1)
 
     def test_random_corpus(self):
         rng = random.Random(7)

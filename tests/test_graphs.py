@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eicount.graphs import (Graph, Partition, line_graph, make_pattern,
-                            parse_graph, quotient, serialize_graph, subdivide,
-                            vertex_cover_number)
+from eicount.graphs import (Graph, all_partitions, isolated_parts,
+                            line_graph, make_pattern, parse_graph, quotient,
+                            serialize_graph, subdivide, vertex_cover_number)
 
 
 def random_graph_strategy(max_n=7, p=0.5):
@@ -182,17 +182,53 @@ class TestSubdivide:
 class TestQuotient:
     def test_singletons_identity(self):
         for g in [make_pattern("K", 4), make_pattern("C", 5), Graph(3, [])]:
-            q = quotient(g, Partition.singletons(g.n))
-            assert not q.degenerate and q.edge_injective and q.graph == g
+            assert quotient(g, [[v] for v in range(g.n)]) == g
 
     def test_wedge_endpoint_merge(self):
         p2 = make_pattern("P", 2)  # 0-1-2
-        q = quotient(p2, Partition(3, [[0, 2], [1]]))
-        assert not q.degenerate and not q.edge_injective
+        assert quotient(p2, [[0, 2], [1]]) is None
 
     def test_loop_degenerate(self):
-        q = quotient(make_pattern("K", 2), Partition(2, [[0, 1]]))
-        assert q.degenerate and q.graph is None
+        assert quotient(make_pattern("K", 2), [[0, 1]]) is None
+
+    @given(random_graph_strategy(max_n=7), st.randoms(use_true_random=False))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_definition(self, g, rng):
+        parts = list(all_partitions(range(g.n)))
+        blocks = rng.choice(parts)
+        ordered = sorted(tuple(sorted(b)) for b in blocks)
+        who = {v: i for i, b in enumerate(ordered) for v in b}
+        images = [tuple(sorted((who[u], who[v]))) for u, v in g.edges]
+        q = quotient(g, blocks)
+        loop = any(a == b for a, b in images)
+        collision = len(set(images)) < len(images)
+        if loop or collision:
+            assert q is None
+        else:
+            assert q == Graph(len(ordered), images)
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([[0, 1], [], [2]], "empty block"),
+        ([[0, 1], [1, 2]], "disjoint and in range"),
+        ([[0, 1], [2, 3]], "disjoint and in range"),
+        ([[-1], [0, 1, 2]], "disjoint and in range"),
+        ([[0, 1]], "cover the vertex set")])
+    def test_rejects_non_partitions(self, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            quotient(make_pattern("P", 2), blocks)
+
+
+class TestIsolatedParts:
+    @given(st.integers(1, 9), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_components(self, n, rng):
+        # sparse, so that isolated vertices and edges are common
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2)
+                      if rng.random() < 0.15])
+        comps = g.components()
+        isolated, pairs = isolated_parts(g)
+        assert isolated == sorted(c[0] for c in comps if len(c) == 1)
+        assert pairs == sorted(v for c in comps if len(c) == 2 for v in c)
 
 
 class TestVertexCover:
