@@ -424,9 +424,3 @@ def realized_classes(h: Graph, cover):
                 f"(size {size}, representative {rep})")
         yield rho_c, alloc, size, rep
 
-
-def count_edge_injective_partitions(h: Graph) -> int:
-    """Ground truth for the class bookkeeping: the number of edge-injective,
-    loop-free vertex partitions of h, by direct enumeration."""
-    return sum(quotient(h, blocks) is not None
-               for blocks in all_partitions(range(h.n)))

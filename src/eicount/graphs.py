@@ -8,7 +8,6 @@ Vertices are the dense integers ``0 .. n-1``; an edge is the sorted pair
 from __future__ import annotations
 
 import itertools
-from types import MappingProxyType
 
 from .config import check_cap
 
@@ -43,9 +42,6 @@ def bfs_layers(masks, sources: int):
         seen |= frontier
 
 
-_NO_META = MappingProxyType({})
-
-
 class Graph:
     """Loop-free simple graph, optionally edge-colored and edge-weighted.
 
@@ -54,15 +50,12 @@ class Graph:
 
     color maps every colored edge to an id in 1..k (k = declared color
     count); weight, if present, must be defined for every edge and be a
-    nonnegative integer.  ``meta`` carries anchor-vertex bookkeeping for
-    gadget constructions, in a dict of the graph's own, and never takes
-    part in equality; graphs built without it share one read-only empty
-    mapping.
+    nonnegative integer.
     """
 
-    __slots__ = ("n", "edges", "color", "weight", "k", "meta", "_masks")
+    __slots__ = ("n", "edges", "color", "weight", "k", "_masks")
 
-    def __init__(self, n, edges, color=None, weight=None, k=None, meta=None):
+    def __init__(self, n, edges, color=None, weight=None, k=None):
         self.n = int(n)
         if self.n < 0:
             raise ValueError(f"negative vertex count {self.n}")
@@ -93,7 +86,6 @@ class Graph:
             if any(w < 0 for w in weight.values()):
                 raise ValueError("negative edge weight")
         self.weight = weight
-        self.meta = dict(meta) if meta else _NO_META
         self._masks = None
 
     @property
@@ -233,8 +225,7 @@ def _clique(k):
 
 
 def _biclique(a, b):
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)],
-                 meta={"left": tuple(range(a))})
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def _matching(k):
@@ -255,21 +246,21 @@ def _wedges(k):
     for i in range(k):
         b = 3 * i
         es += [(b, b + 1), (b, b + 2)]
-    return Graph(3 * k, es, meta={"centers": tuple(3 * i for i in range(k))})
+    return Graph(3 * k, es)
 
 
 def _windmill(k):
     # center 0, matched pairs (2i+1, 2i+2); center adjacent to all of them
     es = [(2 * i + 1, 2 * i + 2) for i in range(k)]
     es += [(0, v) for v in range(1, 2 * k + 1)]
-    return Graph(2 * k + 1, es, meta={"center": 0})
+    return Graph(2 * k + 1, es)
 
 
 def _substar(k):
     # center 0, matched pairs (2i+1, 2i+2); center adjacent to 2i+1 only
     es = [(2 * i + 1, 2 * i + 2) for i in range(k)]
     es += [(0, 2 * i + 1) for i in range(k)]
-    return Graph(2 * k + 1, es, meta={"center": 0})
+    return Graph(2 * k + 1, es)
 
 
 def _collar(ell):
@@ -277,18 +268,12 @@ def _collar(ell):
     # v = 4*ell + 1 last
     if ell < 1:
         raise ValueError("collar length must be >= 1")
-    es = []
-    a, b = [], []
+    es = [(0, 1), (4 * ell - 2, 4 * ell + 1)]
     for i in range(ell):
-        blk = [1 + 4 * i + j for j in range(4)]
-        es += list(itertools.combinations(blk, 2))
-        a.append(blk[0])
-        b.append(blk[1])
-    for i in range(ell - 1):
-        es.append((b[i], a[i + 1]))
-    v = 4 * ell + 1
-    es += [(0, a[0]), (b[-1], v)]
-    return Graph(4 * ell + 2, es, meta={"u": 0, "v": v, "a": tuple(a), "b": tuple(b)})
+        es += itertools.combinations(range(1 + 4 * i, 5 + 4 * i), 2)
+        if i:
+            es.append((4 * i - 2, 4 * i + 1))  # b_{i-1} to a_i
+    return Graph(4 * ell + 2, es)
 
 
 def _barbed_wire(ell):
@@ -304,12 +289,14 @@ def _barbed_wire(ell):
         spine = 2 * i + 2
         es += [(spine, nxt), (spine, nxt + 1)]
         nxt += 2
-    return Graph(nxt, es, meta={"u": 0, "v": path_n - 1})
+    return Graph(nxt, es)
 
 
-def _weight_gadget(i):
+def weight_gadget(i):
     """Gadget chain used for removing edge weights: two terminals joined by i
-    nested detour paths; the j-th path carries a marked middle edge."""
+    nested detour paths; the j-th path carries a marked middle edge.
+
+    Returns (graph, terminal a, terminal b, the i marked edges by level)."""
     if i < 1:
         raise ValueError("gadget index must be >= 1")
     # level 1: single edge a_1 = 0, b_1 = 1
@@ -329,7 +316,11 @@ def _weight_gadget(i):
         es += path_edges
         marked.append(edge(*path_edges[lvl]))
         a, b = a2, b2
-    return Graph(nxt, es, meta={"a": a, "b": b, "marked": tuple(marked)})
+    return Graph(nxt, es), a, b, tuple(marked)
+
+
+def _weight_gadget_graph(i):
+    return weight_gadget(i)[0]
 
 
 _KINDS = {
@@ -344,7 +335,7 @@ _KINDS = {
     "SS": (_substar, 1), "substar": (_substar, 1),
     "collar": (_collar, 1),
     "barbed": (_barbed_wire, 1), "barbedwire": (_barbed_wire, 1),
-    "Gi": (_weight_gadget, 1), "weightgadget": (_weight_gadget, 1),
+    "Gi": (_weight_gadget_graph, 1), "weightgadget": (_weight_gadget_graph, 1),
 }
 
 
@@ -382,7 +373,7 @@ def line_graph(g: Graph) -> Graph:
         incident[u].append(i)
         incident[v].append(i)
     out = [pair for at in incident for pair in itertools.combinations(at, 2)]
-    return Graph(len(es), out, meta={"edge_of_vertex": es})
+    return Graph(len(es), out)
 
 
 def subdivide(g: Graph, t: int, color_policy=None) -> Graph:

@@ -127,43 +127,6 @@ class SignatureGraph:
         return SignatureGraph(self.n, sigs, self.edges, self.dangling, self.colors)
 
 
-def _color_token(c) -> str:
-    if isinstance(c, tuple):
-        return ".".join(_color_token(x) for x in c)
-    return str(c)
-
-
-def serialize_signature_graph(sg: SignatureGraph) -> str:
-    """Extended, line-oriented text form of a signature graph.
-
-    Grammar: ``v <n>`` header; one ``sig <v> <variant>`` line per vertex
-    (variants ``hw<=1`` and ``annot-eq``; explicit tables do not serialize);
-    ``e <u> <v> c=<token> [a=<label>]`` internal edges; ``d <v> <label>
-    c=<token> [a=<label>]`` dangling edges.  Tuple-valued colors and
-    edge annotations are dot-joined into tokens.
-    """
-    lines = [f"v {sg.n}"]
-    for v, s in enumerate(sg.sigs):
-        if isinstance(s, HwAtMostOne):
-            name = "hw<=1"
-        elif isinstance(s, AnnotationEq):
-            name = "annot-eq"
-        else:
-            raise ValueError("table signatures do not serialize")
-        lines.append(f"sig {v} {name}")
-    for u, v, c, a in sg.edges:
-        parts = [f"e {min(u, v)} {max(u, v)}", f"c={_color_token(c)}"]
-        if a is not None:
-            parts.append(f"a={_color_token(a)}")
-        lines.append(" ".join(parts))
-    for label, (u, c, a) in enumerate(sg.dangling, start=1):
-        parts = [f"d {u} {label}", f"c={_color_token(c)}"]
-        if a is not None:
-            parts.append(f"a={_color_token(a)}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
 def build_match_holant(g: Graph) -> SignatureGraph:
     """Same graph, HW<=1 at every vertex; ColHolant then counts the colorful
     matchings of g."""

@@ -106,7 +106,8 @@ def count_perfmatch_3regular_line(g: Graph) -> int:
 def triangle_expand(g: Graph) -> Graph:
     """Replace every vertex v of a cubic graph by a triangle on vertices
     3v, 3v+1, 3v+2; the i-th edge at v (sorted edge order) attaches to the
-    i-th triangle vertex."""
+    i-th triangle vertex.  The edges between different triangles form a
+    perfect matching with one edge per edge of ``g``."""
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise ValueError("triangle expansion needs a 3-regular graph")
     port = {}
@@ -120,12 +121,9 @@ def triangle_expand(g: Graph) -> Graph:
     for v in range(g.n):
         b = 3 * v
         es += [(b, b + 1), (b, b + 2), (b + 1, b + 2)]
-    matching = []
     for u, v in g.edges:
-        e = (3 * u + port[(u, v)], 3 * v + port[(v, u)])
-        es.append(e)
-        matching.append(edge(*e))
-    return Graph(3 * g.n, es, meta={"matching": tuple(sorted(matching))})
+        es.append((3 * u + port[(u, v)], 3 * v + port[(v, u)]))
+    return Graph(3 * g.n, es)
 
 
 def replace_matching_with_collars(gp: Graph, matching, ell: int) -> Graph:
@@ -191,7 +189,7 @@ def perfmatch_via_line_reduction(g: Graph, ell: int) -> int:
     enumeration and violations raise :class:`DigitOverflowError`.
     """
     gp = triangle_expand(g)
-    matching = list(gp.meta["matching"])
+    matching = [e for e in gp.edges if e[0] // 3 != e[1] // 3]
     radix = 3 ** ell
     per_card = count_odd_edge_sets_enum(g, by_cardinality=True)
     if any(m >= radix for m in per_card):

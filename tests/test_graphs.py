@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from eicount.graphs import (Graph, all_partitions, isolated_parts,
                             line_graph, make_pattern, parse_graph, quotient,
-                            serialize_graph, subdivide, vertex_cover_number)
+                            serialize_graph, subdivide, vertex_cover_number,
+                            weight_gadget)
 
 
 def random_graph_strategy(max_n=7, p=0.5):
@@ -51,22 +52,6 @@ class TestGraph:
         with pytest.raises(ValueError, match="negative vertex count -3"):
             Graph(-3, [])
 
-    def test_meta_less_graphs_share_one_read_only_meta(self):
-        a, b = Graph(3, [(0, 1)]), make_pattern("K", 4)
-        assert a.meta is b.meta and len(a.meta) == 0
-        with pytest.raises(TypeError):
-            a.meta["hub"] = 0
-
-    def test_gadget_meta_is_private(self):
-        given = {"u": 0}
-        g = Graph(2, [(0, 1)], meta=given)
-        given["u"] = 1
-        assert g.meta == {"u": 0}
-        c1, c2 = make_pattern("collar", 2), make_pattern("collar", 2)
-        assert c1.meta == c2.meta and c1.meta is not c2.meta
-        c1.meta["u"] = -1
-        assert c2.meta["u"] == 0
-
     def test_components(self):
         g = Graph(7, [(4, 1), (1, 6), (2, 5)])
         assert g.components() == [[0], [1, 4, 6], [2, 5], [3]]
@@ -85,7 +70,8 @@ class TestConstructors:
     def test_collar(self):
         g = make_pattern("collar", 2)
         assert (g.n, g.m) == (10, 15)
-        assert g.meta["u"] == 0 and g.meta["v"] == 9
+        # the ends u = 0 and v = n - 1 are the only degree-1 vertices
+        assert [v for v in range(g.n) if g.degree(v) == 1] == [0, 9]
 
     def test_barbed_wire_counts(self):
         for ell in range(1, 4):
@@ -95,9 +81,10 @@ class TestConstructors:
     def test_weight_gadget_sizes(self):
         g1 = make_pattern("Gi", 1)
         assert (g1.n, g1.m) == (2, 1)
-        g2 = make_pattern("Gi", 2)
+        g2, a, b, marked = weight_gadget(2)
+        assert g2 == make_pattern("Gi", 2)
         assert (g2.n, g2.m) == (6, 6)
-        assert len(g2.meta["marked"]) == 2
+        assert (a, b) == (2, 3) and marked == ((0, 1), (4, 5))
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
@@ -143,7 +130,6 @@ class TestLineGraph:
         g = Graph(g.n + isolated, g.edges)
         lg = line_graph(g)
         assert lg == Graph(g.m, self.pairwise(g))
-        assert lg.meta == {"edge_of_vertex": g.edges}
 
     @pytest.mark.parametrize("g", [
         make_pattern("Kab", 1, 6), make_pattern("Kab", 6, 1),

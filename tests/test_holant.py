@@ -255,28 +255,6 @@ class TestPipelines:
             assert colmatch_via_uncolored(g) == want
 
 
-class TestSerialization:
-    def test_omega_bip_format(self):
-        from eicount.holant import serialize_signature_graph
-        text = serialize_signature_graph(build_omega_bip(SINGLE))
-        lines = text.splitlines()
-        assert lines[0] == "v 3"
-        assert "sig 0 hw<=1" in lines and "sig 2 annot-eq" in lines
-        assert any(l.startswith("e ") and "c=1.1" in l and "a=0.1" in l
-                   for l in lines)
-
-    def test_dangling_lines(self):
-        from eicount.holant import serialize_signature_graph
-        text = serialize_signature_graph(build_gamma(1, [(0, 1)], 2))
-        assert "d 0 1 c=1.1 a=0.1" in text.splitlines()
-
-    def test_tables_rejected(self):
-        from eicount.holant import serialize_signature_graph
-        sg = SignatureGraph(1, [TableSignature({})], [])
-        with pytest.raises(ValueError):
-            serialize_signature_graph(sg)
-
-
 class TestAnnotationEq:
     def test_weight_two_only(self):
         annots = {("e", 0): "x", ("e", 1): "x", ("e", 2): "y"}

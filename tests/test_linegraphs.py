@@ -44,6 +44,11 @@ def random_connected(rng, n, m):
     return Graph(n, es)
 
 
+def between_triangles(gp):
+    """The edges of a triangle expansion that join two different triangles."""
+    return [e for e in gp.edges if e[0] // 3 != e[1] // 3]
+
+
 def odd_edge_sets_closed_form(g):
     """2^(m - n + c), or 0 when some component has odd order."""
     comps = g.components()
@@ -161,7 +166,7 @@ class TestAlgorithm:
         # the expansion by number of matching edges used
         for name, g in CUBIC[:2]:
             gp = triangle_expand(g)
-            mset = set(gp.meta["matching"])
+            mset = set(between_triangles(gp))
             nbrs = {v: [u for e in gp.edges for u in e if v in e and u != v]
                     for v in range(gp.n)}
             per_card = O.count_odd_edge_sets_enum(g, by_cardinality=True)
@@ -186,6 +191,18 @@ class TestExpansion:
         gp = triangle_expand(K4)
         assert (gp.n, gp.m) == (12, 18)
 
+    def test_between_triangle_edges_match_base_edges(self):
+        # the edges between triangles form a perfect matching, one edge per
+        # edge of g, and contracting the triangles maps them onto E(g)
+        rng = random.Random(11)
+        bases = CUBIC + [("rand", random_cubic(rng, n)) for n in (4, 6, 8, 10)]
+        for name, g in bases:
+            gp = triangle_expand(g)
+            matching = between_triangles(gp)
+            assert len(matching) == g.m, name
+            assert sorted(v for e in matching for v in e) == list(range(gp.n)), name
+            assert sorted(edge(u // 3, v // 3) for u, v in matching) == list(g.edges), name
+
     def test_needs_cubic(self):
         with pytest.raises(ValueError):
             triangle_expand(make_pattern("C", 5))
@@ -205,7 +222,7 @@ class TestCollars:
 
     def test_degree_bound(self):
         gp = triangle_expand(K4)
-        b = replace_matching_with_collars(gp, gp.meta["matching"], 1)
+        b = replace_matching_with_collars(gp, between_triangles(gp), 1)
         assert max(b.degree(v) for v in range(b.n)) == 4
 
     def test_not_a_matching(self):

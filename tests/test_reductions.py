@@ -6,7 +6,7 @@ import pytest
 
 from eicount import oracles as O
 from eicount.exact import falling_factorial
-from eicount.graphs import Graph, make_pattern
+from eicount.graphs import Graph, make_pattern, weight_gadget
 from eicount.reductions import (build_Gr, build_cycle_gadget,
                                 build_star_host, build_unweighted_substitute,
                                 count_matchings_via_apex,
@@ -59,12 +59,13 @@ class TestBuildGr:
         gr = build_Gr(RAGGED, [0, 1, 2], 1)
         assert gr.n == 6
         assert gr.edges == ((0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (3, 5))
-        assert (gr.meta["specials"], gr.meta["left"]) == ((1,), (2, 3, 4))
+        # special 1 hangs off the hub; the left vertices 2, 3, 4 follow
+        assert gr.masks[1] == 1 and gr.masks[0] == 0b11110
         star = build_star_host(RAGGED, [0, 1, 2])
         assert star.n == 7
         assert star.edges == ((0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (3, 4),
                               (4, 6))
-        assert star.meta == {"hub": 0, "anchor_end": 2}
+        assert star.masks[2] == 1 << 1 and star.has_edge(0, 1)
 
     def test_simple(self):
         for name, g, left in BIP:
@@ -148,20 +149,27 @@ class TestStarPipeline:
         assert count_matchings_via_star(Graph(2, [(0, 1)]), [0], 1) == 1
 
     def test_host_simple(self):
-        host = build_star_host(C6, C6_LEFT)
-        assert len(set(host.edges)) == host.m
+        # the anchor end 2 is a leaf on 1, and 1 is a neighbour of the hub 0
+        for name, g, left in BIP:
+            host = build_star_host(g, left)
+            assert len(set(host.edges)) == host.m, name
+            assert host.masks[2] == 1 << 1 and host.has_edge(0, 1), name
 
 
 class TestCycleGadget:
     def test_size(self):
-        gb = build_cycle_gadget(K4, 1)
+        gb, _ = build_cycle_gadget(K4, 1)
         assert gb.n == sum(2 * K4.degree(v) + 4 for v in range(K4.n))
 
     def test_separation(self):
         for g in (K4, make_pattern("C", 5)):
             for b in range(4):
-                gb = build_cycle_gadget(g, b)
-                assert min_weighted_edge_separation(gb) == 5
+                gb, weighted_edges = build_cycle_gadget(g, b)
+                assert len(weighted_edges) == g.n
+                if b != 1:
+                    assert set(weighted_edges) == {
+                        e for e, w in gb.weight.items() if w == b}
+                assert min_weighted_edge_separation(gb, weighted_edges) == 5
 
     def test_p_integral(self):
         for b in range(3):
@@ -223,7 +231,8 @@ class TestUnweight:
             walks = gadget_walks(j)
             assert len(walks) == j
             assert all(l == 2 * j - 1 for l, _ in walks)
-            marked = make_pattern("Gi", j).meta["marked"]
+            _, _, _, marked = weight_gadget(j)
+            assert len(marked) == j
             for e in marked:
                 assert sum(1 for _, es in walks if e in es) == 1
 
