@@ -18,7 +18,8 @@ _DEFAULTS = {
     "VERTEX_COVER_CAP": 24,
     # max memoised states (unmatched-vertex sets reached, dead ends included)
     # of the perfect-matching counter; 10^6 states take about 10 s and
-    # 100 MB, while the 162-vertex collar encoding of the prism needs 1,700
+    # 110 MB (a random cubic graph on 120 vertices, Python 3.11), while the
+    # 162-vertex collar encoding of the prism needs 1,700
     "PERFMATCH_CAP": 10**6,
     # max candidate images the hom/emb/edginj map search tries, summed over
     # its nodes; at roughly 10^6 per second, 10^7 take about 10 s

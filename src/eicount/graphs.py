@@ -36,8 +36,10 @@ def bfs_layers(masks, sources: int):
     while frontier:
         yield frontier
         reach = 0
-        for v in bits(frontier):
-            reach |= masks[v]
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
         frontier = reach & ~seen
         seen |= frontier
 
@@ -137,15 +139,29 @@ class Graph:
 
     def components(self):
         """Vertex sets of the connected components as sorted lists, ordered
-        by their smallest vertex."""
+        by their smallest vertex.
+
+        A search over neighbour lists built from ``edges``, O(n + m): read
+        from ``masks``, each neighbour would cost a pass over a mask as
+        long as the host."""
+        nbrs = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        seen = bytearray(self.n)
         out = []
-        rest = (1 << self.n) - 1
-        while rest:
-            comp = 0
-            for layer in bfs_layers(self.masks, rest & -rest):
-                comp |= layer
-            rest ^= comp
-            out.append(list(bits(comp)))
+        for s in range(self.n):
+            if seen[s]:
+                continue
+            seen[s] = 1
+            comp = [s]
+            for v in comp:  # comp grows as the search reaches new vertices
+                for u in nbrs[v]:
+                    if not seen[u]:
+                        seen[u] = 1
+                        comp.append(u)
+            comp.sort()
+            out.append(comp)
         return out
 
     def __eq__(self, other):

@@ -353,11 +353,15 @@ def count_simple_cycles_via_gadget(g: Graph, k: int) -> int:
 
 def build_unweighted_substitute(g: Graph, w_max: int) -> Graph:
     """Substitute every weight-w edge uv by the detour gadget with exactly w
-    open routes of length 2*w_max - 1, attached through fresh terminals."""
+    open routes of length 2*w_max - 1, attached through fresh terminals.
+    Every weight must lie in 1..w_max, else ValueError."""
     if g.weight is None:
         raise ValueError("host must be weighted")
     if any(w < 1 for w in g.weight.values()):
         raise ValueError("weights must be >= 1 (zero-weight edges are undefined here)")
+    if any(w > w_max for w in g.weight.values()):
+        raise ValueError(f"an edge weight exceeds w_max={w_max}: its gadget "
+                         f"would keep only {w_max} routes")
     full, a, b, marked = weight_gadget(w_max)
     es = []
     nxt = g.n

@@ -135,7 +135,7 @@ def c70_with_chords():
 
 def unrooted_count(h, g, mode, weighted=False):
     """The plain kernel search, with no symmetry breaking."""
-    _, parents, anchor, adist = O._pattern_encoding(h)
+    parents, anchor, adist, _ = O._search_plan(h)
     weights = None
     if weighted:
         weights = [{} for _ in range(g.n)]
@@ -295,14 +295,82 @@ def test_rooted_mode_needs_a_root_edge():
     with pytest.raises(ValueError, match="parents"):
         _kernels_py.count_maps(g.n, g.masks, _kernels_py.MODE_EDGINJ,
                                parents, [-1, -1, 0], [0, 0, 1], None, True)
-    _, parents, anchor, adist = O._pattern_encoding(make_pattern("C", 4))
+    parents, anchor, adist, _ = O._search_plan(make_pattern("C", 4))
     with pytest.raises(ValueError, match="injective"):
         _kernels_py.count_maps(g.n, g.masks, _kernels_py.MODE_HOM, parents,
                                anchor, adist, None, True)
     # the second triangle of C_3 + C_3 starts at a position with no parent
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    _, parents, anchor, adist = O._pattern_encoding(two_triangles)
+    parents, anchor, adist, _ = O._search_plan(two_triangles)
     assert parents[1] == (0,)
     with pytest.raises(ValueError, match="connected"):
         _kernels_py.count_maps(g.n, g.masks, _kernels_py.MODE_EMB, parents,
                                anchor, adist, None, True)
+
+
+def weighted_host(rng, n, p=0.5):
+    g = rand_graph(rng, n, p)
+    return Graph(n, g.edges, weight={e: rng.randrange(0, 4) for e in g.edges})
+
+
+def assert_every_mode_matches_enumeration(h, g):
+    """The plain kernel search and the oracles against brute_maps in every
+    mode, weighted by g's weights 0..3."""
+    plain = Graph(g.n, g.edges)
+    for mode, weighted, count in [
+            (_kernels_py.MODE_HOM, False, O.count_hom),
+            (_kernels_py.MODE_EMB, False, O.count_emb),
+            (_kernels_py.MODE_EDGINJ, False, O.count_edginj),
+            (_kernels_py.MODE_EDGINJ, True, O.count_edginj_weighted)]:
+        want = brute_maps(h, g, mode, g.weight if weighted else None)
+        assert unrooted_count(h, g, mode, weighted) == want, (h.edges, mode)
+        assert count(h, g if weighted else plain) == want, (h.edges, mode)
+
+
+def test_kernel_matches_enumeration_in_every_mode():
+    rng = random.Random(10)
+    for _ in range(30):
+        h = rand_graph(rng, rng.randrange(1, 5), rng.choice([0.4, 0.7]))
+        assert_every_mode_matches_enumeration(
+            h, weighted_host(rng, rng.randrange(1, 7)))
+
+
+def test_parents_that_share_an_image():
+    # a cycle of length L >= 5 closes on two parents whose images coincide
+    # when the rest of it runs around a host cycle of length L - 2; the
+    # two closing edges then land on one host edge, so that node counts 0
+    rng = random.Random(11)
+    patterns = [make_pattern("C", 4), make_pattern("wedges", 2),
+                make_pattern("C", 5), make_pattern("C", 6)]
+    hosts = [make_pattern("Kab", 1, 3), make_pattern("Kab", 1, 4),
+             make_pattern("Kab", 2, 3), make_pattern("K", 4),
+             Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])]
+    for h in patterns:
+        for g in hosts:
+            weight = {e: rng.randrange(0, 4) for e in g.edges}
+            assert_every_mode_matches_enumeration(
+                h, Graph(g.n, g.edges, weight=weight))
+
+
+def test_kernel_past_63_vertices_matches_enumeration():
+    # small hosts moved to the vertices 64.. of a 72-vertex host, so every
+    # image and used-edge bit lies past bit 63
+    rng = random.Random(12)
+    patterns = [make_pattern("C", 3), make_pattern("C", 5),
+                make_pattern("P", 3), make_pattern("Kab", 1, 3)]
+    for _ in range(3):
+        small = weighted_host(rng, 6, 0.6)
+        big = Graph(72, [(u + 64, v + 64) for u, v in small.edges],
+                    weight={(u + 64, v + 64): w
+                            for (u, v), w in small.weight.items()})
+        plain = Graph(72, big.edges)
+        for h in patterns:
+            for mode, weighted, count in [
+                    (_kernels_py.MODE_HOM, False, O.count_hom),
+                    (_kernels_py.MODE_EMB, False, O.count_emb),
+                    (_kernels_py.MODE_EDGINJ, False, O.count_edginj),
+                    (_kernels_py.MODE_EDGINJ, True, O.count_edginj_weighted)]:
+                want = brute_maps(h, small, mode,
+                                  small.weight if weighted else None)
+                assert unrooted_count(h, big, mode, weighted) == want
+                assert count(h, big if weighted else plain) == want

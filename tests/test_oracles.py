@@ -1,14 +1,17 @@
 import ast
 import itertools
 import random
+import time
 from math import factorial
 from pathlib import Path
 
 import pytest
 
+from eicount import _kernels_py
 from eicount import oracles as O
 from eicount.config import CapExceeded
 from eicount.graphs import Graph, line_graph, make_pattern
+from eicount.linegraphs import replace_matching_with_collars, triangle_expand
 
 K2 = make_pattern("K", 2)
 K3 = make_pattern("K", 3)
@@ -82,6 +85,26 @@ class TestSearchBudget:
         monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "8")
         with pytest.raises(CapExceeded, match="more than 8 images"):
             O.count_emb(make_pattern("P", 1), K3)
+
+    @pytest.mark.parametrize("count,h,g,want,charge", [
+        # P_2 into K_4 places its centre (4 images), one end (3 per centre)
+        # and then the other end, a leaf of 3 candidates (2 under
+        # embeddings, where the first end is taken); under edge-injective
+        # maps the leaf is charged all 3 before the used edge is dropped
+        (O.count_hom, make_pattern("P", 2), K4, 36, 52),
+        (O.count_emb, make_pattern("P", 2), K4, 24, 40),
+        (O.count_edginj, make_pattern("P", 2), K4, 24, 52),
+        # C_5 into K_5 has nodes whose two parents share an image: they are
+        # charged their candidates and count 0
+        (O.count_edginj, make_pattern("C", 5), make_pattern("K", 5), 120, 224),
+    ])
+    def test_counted_leaves_charge_every_candidate(self, monkeypatch, count,
+                                                   h, g, want, charge):
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", str(charge))
+        assert count(h, g) == want
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", str(charge - 1))
+        with pytest.raises(CapExceeded, match=f"more than {charge - 1} images"):
+            count(h, g)
 
     def test_small_budget_stops_a_small_hard_search(self, monkeypatch):
         monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "1000")
@@ -248,6 +271,101 @@ class TestPerfectMatchings:
         monkeypatch.setenv("EICOUNT_PERFMATCH_CAP", "5")
         with pytest.raises(CapExceeded):
             O.count_perfect_matchings(k8)
+
+    def test_ladder_is_fibonacci(self):
+        # the 2 x n ladder has F(n + 1) perfect matchings.  Forced moves
+        # come from the neighbours of the last matched pair, so ten times
+        # the rungs take about 20 times the CPU time; scanning every vertex
+        # for the least degree at each step takes about 200 times as long
+        # (22 ms on 150 rungs, 4.5 s on 1,500, Python 3.11)
+        def cpu(n):
+            g = Graph(2 * n, [(i, n + i) for i in range(n)]
+                      + [(r + i, r + i + 1) for r in (0, n)
+                         for i in range(n - 1)])
+            a, b = 1, 1
+            for _ in range(n - 1):
+                a, b = b, a + b
+            start = time.process_time()
+            assert O.count_perfect_matchings(g) == b
+            return time.process_time() - start
+
+        assert cpu(1500) < 60 * min(cpu(150) for _ in range(3))
+
+    @pytest.mark.parametrize("name,states,want", [
+        ("full-1", 2, 1), ("both-ends-1", 5, 3), ("full-2", 4, 1),
+        ("both-ends-2", 8, 9), ("full-3", 6, 1), ("both-ends-3", 11, 27),
+        ("full-4", 8, 1), ("both-ends-4", 14, 81),
+        ("pipeline-K4", 354, 22600), ("pipeline-prism", 922, 2501200)])
+    def test_collar_memo_states(self, monkeypatch, name, states, want):
+        # the memo sizes on the collar suite's instances (its collars without
+        # an end have odd order and no search), as a branching rule that
+        # scans every vertex at every step reaches them, so PERFMATCH_CAP
+        # trips on the same inputs
+        kind, _, arg = name.rpartition("-")
+        if kind == "pipeline":
+            g = K4 if arg == "K4" else Graph(6, [
+                (0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                (0, 3), (1, 4), (2, 5)])
+            gp = triangle_expand(g)
+            g = replace_matching_with_collars(
+                gp, [e for e in gp.edges if e[0] // 3 != e[1] // 3], 2)
+        else:
+            g = make_pattern("collar", int(arg))
+            if kind == "both-ends":
+                g = g.remove_vertices([0, g.n - 1])
+        monkeypatch.setenv("EICOUNT_PERFMATCH_CAP", str(states))
+        assert O.count_perfect_matchings(g) == want
+        monkeypatch.setenv("EICOUNT_PERFMATCH_CAP", str(states - 1))
+        with pytest.raises(CapExceeded):
+            O.count_perfect_matchings(g)
+
+    def test_hinted_branching_reaches_the_full_scan_states(self, monkeypatch):
+        # the states the counter memoises are those of the rule that scans
+        # every vertex: match the least vertex of degree 1 while one is
+        # left, then branch on the least vertex of minimum degree
+        def full_scan_states(g):
+            states = set()
+
+            def visit(alive):
+                if not alive or alive in states:
+                    return
+                states.add(alive)
+                while alive:
+                    degs = [(g.masks[v] & alive).bit_count()
+                            for v in range(g.n) if alive >> v & 1]
+                    vs = [v for v in range(g.n) if alive >> v & 1]
+                    low = [v for v, d in zip(vs, degs) if d <= 1]
+                    v = low[0] if low else vs[degs.index(min(degs))]
+                    nbrs = g.masks[v] & alive
+                    if not nbrs:
+                        return
+                    alive &= ~(1 << v)
+                    if low:
+                        alive &= ~nbrs
+                        continue
+                    for u in range(g.n):
+                        if nbrs >> u & 1:
+                            visit(alive & ~(1 << u))
+                    return
+
+            visit((1 << g.n) - 1)
+            return states
+
+        seen = set()
+        branches = _kernels_py._pm_branches
+
+        def recording(alive, adj, hint):
+            seen.add(alive)
+            return branches(alive, adj, hint)
+
+        monkeypatch.setattr(_kernels_py, "_pm_branches", recording)
+        rng = random.Random(13)
+        for _ in range(60):
+            n = 2 * rng.randrange(1, 8)
+            g = rand_graph(rng, n, rng.choice([0.2, 0.35, 0.5]))
+            seen.clear()
+            O.count_perfect_matchings(g)
+            assert seen == full_scan_states(g)
 
     def test_long_sparse_hosts_do_not_recurse(self):
         # 3,000 vertices: far deeper than Python's recursion limit

@@ -263,6 +263,13 @@ class TestUnweight:
         with pytest.raises(ValueError):
             build_unweighted_substitute(g, 1)
 
+    def test_weight_above_w_max_rejected(self):
+        # a gadget of w_max routes cannot stand for a heavier edge
+        g = Graph(2, [(0, 1)], weight={(0, 1): 3})
+        with pytest.raises(ValueError, match="w_max=2"):
+            build_unweighted_substitute(g, 2)
+        assert build_unweighted_substitute(g, 3).n == 2 + weight_gadget(3)[0].n
+
     def test_k_below_four_rejected(self):
         g = Graph(3, [(0, 1), (1, 2)], weight={(0, 1): 1, (1, 2): 1})
         with pytest.raises(ValueError):
