@@ -211,6 +211,8 @@ def count_matchings_via_wedges(g: Graph, left, k: int) -> int:
 def count_matchings_via_apex(g: Graph, left, k: int) -> int:
     """k-matchings of a bipartite graph from one edge-injective count of k
     disjoint triangles into the graph plus a universal apex."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     _validate_bipartite_only(g, left)
     apex = g.n
     es = list(g.edges) + [(v, apex) for v in range(g.n)]
@@ -329,21 +331,49 @@ def min_weighted_edge_separation(gb: Graph, weighted_edges) -> int:
     return best
 
 
-def cycle_gadget_polynomial_value(g: Graph, k: int, b: int) -> int:
-    """p(b): the weighted edge-injective count of the length-6k cycle in the
-    gadget graph, divided by 12k."""
-    gb, _ = build_cycle_gadget(g, b)
-    val = count_edginj_weighted(make_pattern("C", 6 * k), gb)
-    return exact_quotient(val, 12 * k, "gadget cycle count must divide by 12k")
+def cycle_gadget_polynomial(g: Graph, k: int) -> Polynomial:
+    """p, with p(b) the weighted edge-injective count of the length-6k cycle
+    in ``build_cycle_gadget(g, b)`` divided by 12k, from one weighted count
+    at b = 2^s (see :func:`count_simple_cycles_via_gadget`)."""
+    if k < 3:
+        raise ValueError("k must be >= 3")
+    n_gadget = 4 * g.n + 4 * g.m
+    s = (n_gadget ** (6 * k)).bit_length()
+    gb, _ = build_cycle_gadget(g, 1 << s)
+    total = count_edginj_weighted(make_pattern("C", 6 * k), gb)
+    if total >> s * (k + 1):
+        raise ArithmeticError(f"gadget cycle count is not a polynomial of "
+                              f"degree <= {k} in the middle-edge weight")
+    digit = (1 << s) - 1
+    return Polynomial([
+        exact_quotient((total >> s * j) & digit, 12 * k,
+                       "gadget cycle count must divide by 12k")
+        for j in range(k + 1)])
 
 
 def count_simple_cycles_via_gadget(g: Graph, k: int) -> int:
-    """Simple k-cycles from the weighted gadget pipeline: p has degree <= k
-    and its leading coefficient is twice the number of simple k-cycles."""
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    pts = [(b, cycle_gadget_polynomial_value(g, k, b)) for b in range(k + 1)]
-    p = interpolate(pts)
+    """Simple k-cycles from the weighted gadget pipeline.
+
+    Every edge-injective map of C_6k into the gadget G_b has weight b^j,
+    where j is the number of middle (weight-b) edges it uses, so
+
+        WEdgInj(C_6k, G_b) = sum_j c_j b^j,
+
+    with c_j the number of maps that use j middle edges.  Aut(C_6k) (12k
+    elements) acts freely on the maps and keeps j fixed, so 12k divides
+    every c_j, and p(b) = WEdgInj(C_6k, G_b) / 12k has the coefficients
+    c_j / 12k.  Middle edges lie at least 5 edges apart, so a closed walk
+    of 6k distinct edges uses at most k of them: c_j = 0 for j > k.  The
+    leading coefficient c_k / 12k is twice the number of simple k-cycles.
+
+    All c_j are read from one weighted count.  The gadget has N = 4n + 4m
+    vertices, so every c_j <= N^(6k) < 2^s with s the bit length of
+    N^(6k); at b = 2^s the count's base-2^s digits are the c_j (Kronecker
+    substitution).  A count that fails any of the three checks (a nonzero
+    digit above k, a digit not divisible by 12k, an odd c_k / 12k) raises
+    ArithmeticError.
+    """
+    p = cycle_gadget_polynomial(g, k)
     return exact_quotient(p.coeff(k), 2,
                           "leading coefficient must be an even integer")
 
@@ -449,13 +479,13 @@ def longest_edge_disjoint_cycle(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # edge-disjoint cycles from path queries
 
-def ec_cycles_via_paths(g: Graph, k: int, path_len: int | None = None) -> int:
+def ec_cycles_via_paths(g: Graph, k: int) -> int:
     """Edge-disjoint k-cycles assembled from edge-disjoint path counts.
 
     Vertices are peeled in increasing order; cycles through the current
     vertex are isolated by attaching two pendant probes and combining four
-    path queries by inclusion-exclusion.  The probe paths have k+2 edges by
-    default (a k-cycle plus the two pendants).  Each such cycle yields four
+    path queries by inclusion-exclusion.  The probe paths have k+2 edges (a
+    k-cycle plus the two pendants).  Each such cycle yields four
     edge-injective probe-path maps: two endpoint orders times two traversal
     directions around the cycle, hence the division by four.  For k >= 6 a
     cycle may visit the probed vertex twice and would be overcounted, so
@@ -463,9 +493,7 @@ def ec_cycles_via_paths(g: Graph, k: int, path_len: int | None = None) -> int:
     """
     if not 3 <= k <= 5:
         raise ValueError("ec-cycles via paths needs 3 <= k <= 5")
-    if path_len is None:
-        path_len = k + 2
-    pat = make_pattern("P", path_len)
+    pat = make_pattern("P", k + 2)
     total = 0
     for i in range(g.n):
         gi = g.remove_vertices(range(i + 1, g.n))

@@ -133,6 +133,14 @@ class TestCount:
         assert (code, out) == (2, "")
         assert err == "error: cover bound must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("algo", ["oracle", "pipeline:wedges",
+                                      "pipeline:apex", "pipeline:star"])
+    def test_negative_k_matchings(self, capsys, algo):
+        code, out, err = run_cli(capsys, "count", "matchings",
+                                 "--host", "builtin:C,6", "--k", "-1",
+                                 "--algo", algo)
+        assert (code, out, err) == (2, "", "error: k must be >= 0\n")
+
     def test_usage_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "count", "matchings",
                                "--host", "builtin:C,6", "--k", "2",

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from eicount import _kernels_py, holant, oracles, reductions
+from eicount.config import CapExceeded
 from eicount.graphs import Graph, make_pattern
 
 C6 = Graph(6, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)])
@@ -80,10 +81,46 @@ def test_cycle_gadget_count(monkeypatch):
         reductions.count_simple_cycles_via_gadget(K4, 3)
 
 
+def skew_middle_edge_power(monkeypatch, k, power):
+    """Add 12k * X^power to the weighted count, X the middle-edge weight of
+    the host it is passed: p gains the monomial x^power."""
+    real = reductions.count_edginj_weighted
+
+    def skewed(h, g):
+        return real(h, g) + 12 * k * max(g.weight.values()) ** power
+
+    monkeypatch.setattr(reductions, "count_edginj_weighted", skewed)
+
+
 def test_cycle_gadget_leading_coefficient(monkeypatch):
-    # p(0) off by one moves the leading coefficient by 1/3! = 1/6
-    skew_first_call(monkeypatch, reductions, "cycle_gadget_polynomial_value")
+    # the leading coefficient of p is 8 on K4; one more makes it odd
+    skew_middle_edge_power(monkeypatch, 3, 3)
     with pytest.raises(ArithmeticError, match="even integer"):
+        reductions.count_simple_cycles_via_gadget(K4, 3)
+
+
+def test_cycle_gadget_degree(monkeypatch):
+    skew_middle_edge_power(monkeypatch, 3, 4)
+    with pytest.raises(ArithmeticError, match="degree <= 3"):
+        reductions.count_simple_cycles_via_gadget(K4, 3)
+
+
+def test_cycle_gadget_is_one_search(monkeypatch):
+    # SEARCH_VOLUME_CAP bounds each search, so the cap pins the charge of
+    # the search and the spy pins that there is one (b = 0..3 took four)
+    real = _kernels_py.count_maps
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels_py, "count_maps", spy)
+    monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "5450")
+    assert reductions.count_simple_cycles_via_gadget(K4, 3) == 4
+    assert len(calls) == 1
+    monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "5449")
+    with pytest.raises(CapExceeded, match="SEARCH_VOLUME_CAP"):
         reductions.count_simple_cycles_via_gadget(K4, 3)
 
 

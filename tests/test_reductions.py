@@ -5,7 +5,7 @@ from math import comb, factorial
 import pytest
 
 from eicount import oracles as O
-from eicount.exact import falling_factorial
+from eicount.exact import falling_factorial, interpolate
 from eicount.graphs import Graph, make_pattern, weight_gadget
 from eicount.reductions import (build_Gr, build_cycle_gadget,
                                 build_star_host, build_unweighted_substitute,
@@ -13,7 +13,7 @@ from eicount.reductions import (build_Gr, build_cycle_gadget,
                                 count_matchings_via_star,
                                 count_matchings_via_wedges,
                                 count_simple_cycles_via_gadget,
-                                cycle_gadget_polynomial_value,
+                                cycle_gadget_polynomial,
                                 ec_cycles_via_paths, gadget_walks,
                                 longest_edge_disjoint_cycle,
                                 min_weighted_edge_separation,
@@ -156,6 +156,21 @@ class TestStarPipeline:
             assert host.masks[2] == 1 << 1 and host.has_edge(0, 1), name
 
 
+def gadget_p(g, k, b):
+    """The definition of the gadget polynomial at one point:
+    p(b) = WEdgInj(C_6k, build_cycle_gadget(g, b)) / 12k."""
+    gb, _ = build_cycle_gadget(g, b)
+    q, r = divmod(O.count_edginj_weighted(make_pattern("C", 6 * k), gb),
+                  12 * k)
+    assert r == 0
+    return q
+
+
+def random_host(rng, n, p):
+    return Graph(n, [e for e in itertools.combinations(range(n), 2)
+                     if rng.random() < p])
+
+
 class TestCycleGadget:
     def test_size(self):
         gb, _ = build_cycle_gadget(K4, 1)
@@ -173,7 +188,7 @@ class TestCycleGadget:
 
     def test_p_integral(self):
         for b in range(3):
-            cycle_gadget_polynomial_value(K4, 3, b)  # asserts divisibility
+            gadget_p(K4, 3, b)  # asserts divisibility
 
     def test_k4_triangles(self):
         assert count_simple_cycles_via_gadget(K4, 3) == 4
@@ -185,6 +200,40 @@ class TestCycleGadget:
         diamond = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
         assert count_simple_cycles_via_gadget(diamond, 3) == \
             O.count_simple_cycles(diamond, 3)
+
+    @staticmethod
+    def assert_interpolates(g, k):
+        want = interpolate([(b, gadget_p(g, k, b)) for b in range(k + 1)])
+        assert cycle_gadget_polynomial(g, k) == want
+
+    def test_polynomial_matches_interpolation_k3(self):
+        rng = random.Random(18)
+        hosts = [Graph(0, []), Graph(4, []),
+                 # triangle plus a 4-cycle: disconnected
+                 Graph(7, [(0, 1), (1, 2), (0, 2),
+                           (3, 4), (4, 5), (5, 6), (3, 6)])]
+        hosts += [random_host(rng, rng.randrange(3, 7), 0.5)
+                  for _ in range(30)]
+        for g in hosts:
+            self.assert_interpolates(g, 3)
+
+    def test_polynomial_matches_interpolation_k4(self):
+        rng = random.Random(19)
+        for _ in range(6):
+            self.assert_interpolates(random_host(rng, 5, 0.6), 4)
+
+    def test_gadget_past_63_vertices(self):
+        # two disjoint K4: a gadget on 4n + 4m = 80 vertices
+        g = Graph(8, list(K4.edges) + [(u + 4, v + 4) for u, v in K4.edges])
+        assert build_cycle_gadget(g, 1)[0].n == 80
+        self.assert_interpolates(g, 3)
+        assert count_simple_cycles_via_gadget(g, 3) == 8
+
+    def test_k5_k4(self):
+        k5 = make_pattern("K", 5)
+        self.assert_interpolates(k5, 4)
+        assert count_simple_cycles_via_gadget(k5, 4) == \
+            O.count_simple_cycles(k5, 4) == 15
 
 
 class TestWeightedCycleIdentity:
