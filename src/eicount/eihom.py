@@ -2,30 +2,27 @@
 with bounded weak vertex-cover number.
 
 The algorithm preprocesses away isolated vertices and edges, fixes a minimum
-vertex cover C of the remaining core, groups the edge-injective vertex
-partitions of the core into equivalence classes described by a pair
-(cover sub-partition, color allocation), computes each class's size by a
-closed multinomial formula, and sums class-size times the embedding count of
-one representative quotient.  Embeddings of the quotients are counted by a
-cover-indexed enumeration.  Each neighborhood class of the independent
-vertices gets its candidate mask once, when its requirement is placed; at
-each complete cover placement the masks' union is split by each mask into
-the cells of their Venn diagram, and an exact occupancy sum fills those
-cells one by one, weighing t of the ``left`` members of a class in a cell
-with r unused vertices by C(left, t) * (r)_t.  That sum depends only on the
-cells' signatures and sizes, so each embedding count memoises it per cell
-profile for the length of the call.
+vertex cover C of the remaining core, and groups the edge-injective vertex
+partitions of the core into classes, each a pair (cover sub-partition,
+color allocation).  The cover sub-partitions are grown in bitmasks one
+vertex at a time, and no vertex is placed where it would make a loop or a
+second edge between two blocks, so only nonempty classes are generated and
+each builds one quotient.  The count sums class size (a closed multinomial
+formula) times the embeddings of that quotient, found by a cover-indexed
+enumeration: at each complete cover placement the independent vertices'
+candidate masks are split into the cells of their Venn diagram, and an
+exact occupancy sum, memoised per cell profile in each call, fills them.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from math import comb, factorial, perm
 
 from .config import CapExceeded
 from .exact import multinomial
-from .graphs import (Graph, all_partitions, bits, isolated_parts,
-                     minimum_vertex_cover, quotient)
+from .graphs import (Graph, bits, isolated_parts, minimum_vertex_cover,
+                     quotient)
 
 
 class ReducedPattern:
@@ -79,15 +76,15 @@ def color_of(v, rho_c: CoverSubPartition, h: Graph):
     """The set of rho_c blocks adjacent to the free vertex v."""
     if v in rho_c.domain:
         raise ValueError(f"vertex {v} is not free")
-    nbrs = h.masks[v]
-    return frozenset(b for b in rho_c.blocks if any(nbrs >> u & 1 for u in b))
+    return _free_colors(h, rho_c)[v]
 
 
 def _free_colors(h: Graph, rho_c: CoverSubPartition):
-    """The color of each free vertex of h, computed once per (rho_c, h), so
-    that enumerating, sizing and building a class share one computation."""
+    """The colors of the free vertices of h, read from the masks once per
+    (rho_c, h) for enumerating, sizing and building a class."""
     if rho_c.colors is None or rho_c.colors[0] is not h:
-        rho_c.colors = (h, {v: color_of(v, rho_c, h)
+        blocks = [(b, sum(1 << u for u in b)) for b in rho_c.blocks]
+        rho_c.colors = (h, {v: frozenset(b for b, m in blocks if h.masks[v] & m)
                             for v in range(h.n) if v not in rho_c.domain})
     return rho_c.colors[1]
 
@@ -124,49 +121,61 @@ def _allocations(betas, i, remaining, alloc):
         alloc.pop(beta, None)
 
 
+def _subpartitions(masks, order, ncover, i, blocks, reach):
+    """Yield, as block bitmasks, each cover sub-partition that places
+    order[i:] (the cover, then the other vertices) after ``blocks`` with no
+    loop and no edge collision; reach[j] is the OR of block j's masks.  A
+    cover vertex joins a block or opens one; any other joins or stays free."""
+    if i == ncover and any((masks[v] & b).bit_count() > 1
+                           for v in order[i:] for b in blocks):
+        return  # a free vertex with two edges into one block
+    if i == len(order):
+        yield blocks
+        return
+    v, nb = order[i], masks[order[i]]
+    if i >= ncover:
+        yield from _subpartitions(masks, order, ncover, i + 1, blocks, reach)
+    opened = (0,) if i < ncover else ()  # a cover vertex may open a block
+    for j, (b, r) in enumerate(zip(blocks + opened, reach + opened)):
+        if nb & b or any(nb & c and (r & c or (nb & c).bit_count() > 1)
+                         for c in blocks):
+            continue
+        yield from _subpartitions(masks, order, ncover, i + 1,
+                                  blocks[:j] + (b | 1 << v,) + blocks[j + 1:],
+                                  reach[:j] + (r | nb,) + reach[j + 1:])
+
+
 def enumerate_classes(h: Graph, cover):
     """Yield the (CoverSubPartition, color allocation) pairs of the nonempty
-    classes.
+    classes of h, which has no isolated vertex outside ``cover``.  An
+    allocation maps each beta (a frozenset of pairwise-disjoint colors) to
+    its multiplicity; the betas holding a color K take all its free vertices.
 
-    The color allocation is a dict mapping each block color-set beta (a
-    frozenset of pairwise-disjoint colors) to its multiplicity; candidates
-    are generated so that every free vertex is accounted for: for each color
-    K, the multiplicities of the betas containing K sum to the number of
-    free vertices of color K.
-
-    A cover sub-partition rho_c is skipped when its quotient with every free
-    vertex left a singleton has a loop or an edge collision.  Every
-    partition of a class over rho_c coarsens that singleton partition, and
-    coarsening never removes a loop or an edge collision, so the skipped
-    classes are empty.  Conversely, free vertices are pairwise non-adjacent
-    and the colors within one beta are disjoint, so merging them adds
-    neither; every pair yielded is a nonempty class.
+    ``_subpartitions`` places the cover, then each other vertex, and refuses
+    a placement that makes a loop or an edge collision in the quotient that
+    leaves every unplaced vertex a singleton.  Every partition of a class
+    over rho_c coarsens that one, and coarsening never removes a loop or a
+    collision, so only empty classes are cut off.  Non-cover vertices are
+    pairwise non-adjacent, so a join never changes the edges of a free
+    vertex, and those are checked once, when the cover is placed.  A vertex
+    joining block j has an edge to a block that block j had no edge to, so
+    of t blocks each takes at most t - 1 non-cover vertices.  Merging free
+    vertices of disjoint colors (one beta) adds no loop and no collision,
+    so every pair yielded is a nonempty class.
     """
     cover = frozenset(cover)
-    if any(u not in cover and v not in cover for u, v in h.edges):
-        raise ValueError("the given set is not a vertex cover")
-    c = len(cover)
-    others = [v for v in range(h.n) if v not in cover]
-    max_extra = min(c * c - c, len(others))
-    for extra in range(max_extra + 1):
-        for xs in itertools.combinations(others, extra):
-            d = sorted(cover | set(xs))
-            for blocks in all_partitions(d):
-                if any(not (set(b) & cover) for b in blocks):
-                    continue
-                rho_c = CoverSubPartition(blocks)
-                singles = tuple((v,) for v in range(h.n)
-                                if v not in rho_c.domain)
-                if quotient(h, rho_c.blocks + singles) is None:
-                    continue
-                colors = _free_colors(h, rho_c)
-                counts = {}
-                for k in colors.values():
-                    counts[k] = counts.get(k, 0) + 1
-                distinct = sorted(counts, key=lambda s: sorted(map(sorted, s)))
-                betas = list(_color_set_candidates(distinct, 0, (), frozenset()))
-                for alloc in _allocations(betas, 0, counts, {}):
-                    yield rho_c, alloc
+    order = sorted(cover) + [v for v in range(h.n) if v not in cover]
+    inside = sum(1 << u for u in cover)
+    if any(not h.masks[v] or h.masks[v] & ~inside for v in order[len(cover):]):
+        raise ValueError("the given set is not a vertex cover, or a vertex "
+                         "outside it is isolated")
+    for found in _subpartitions(h.masks, order, len(cover), 0, (), ()):
+        rho_c = CoverSubPartition(bits(b) for b in found)
+        counts = Counter(_free_colors(h, rho_c).values())
+        distinct = sorted(counts, key=lambda s: sorted(map(sorted, s)))
+        betas = list(_color_set_candidates(distinct, 0, (), frozenset()))
+        for alloc in _allocations(betas, 0, counts, {}):
+            yield rho_c, alloc
 
 
 def class_size(rho_c: CoverSubPartition, alloc, h: Graph) -> int:
@@ -175,21 +184,12 @@ def class_size(rho_c: CoverSubPartition, alloc, h: Graph) -> int:
     of each color among the betas containing it, times (mult!)^{|beta|-1}
     per beta for pairing the chosen vertices into blocks.  Returns 0 for
     inconsistent candidates."""
-    colors = _free_colors(h, rho_c)
-    counts = {}
-    for k in colors.values():
-        counts[k] = counts.get(k, 0) + 1
-    for beta in alloc:
-        seen = set()
-        for k in beta:
-            if seen & k:
-                return 0
-            seen |= k
+    counts = Counter(_free_colors(h, rho_c).values())
+    if any(sum(map(len, beta)) != len(frozenset().union(*beta))
+           for beta in alloc):
+        return 0  # a beta with two colors that share a block
     out = 1
-    relevant = set(counts)
-    for beta in alloc:
-        relevant |= set(beta)
-    for k in relevant:
+    for k in set(counts).union(*alloc):
         parts = [alloc[beta] for beta in alloc if k in beta]
         have = counts.get(k, 0)
         if sum(parts) != have:

@@ -466,7 +466,8 @@ def parse_graph(text: str) -> Graph:
 
     ``# comment`` lines and blank lines are ignored; the first payload line
     must be ``v <n>``; every following line is ``e <u> <v> [c=<int>]
-    [w=<int>]`` with 0-based vertices and 1-based colors.
+    [w=<int>]`` with 0-based vertices, u != v, and 1-based colors; each
+    attribute is given at most once.
     """
     n = None
     edges, color, weight = [], {}, {}
@@ -489,17 +490,20 @@ def parse_graph(text: str) -> Graph:
             u, v = int(parts[1]), int(parts[2])
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"line {lineno}: vertex out of range")
+            if u == v:
+                raise ValueError(f"line {lineno}: self-loop at {u}")
             e = edge(u, v)
             if e in set(edges):
                 raise ValueError(f"line {lineno}: duplicate edge {e}")
             edges.append(e)
             for extra in parts[3:]:
-                if extra.startswith("c="):
-                    color[e] = int(extra[2:])
-                elif extra.startswith("w="):
-                    weight[e] = int(extra[2:])
-                else:
+                if extra[:2] not in ("c=", "w="):
                     raise ValueError(f"line {lineno}: bad attribute {extra!r}")
+                attrs = color if extra[0] == "c" else weight
+                if e in attrs:
+                    raise ValueError(
+                        f"line {lineno}: repeated attribute {extra!r}")
+                attrs[e] = int(extra[2:])
         else:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None:

@@ -156,6 +156,17 @@ class TestCount:
         assert code == 2 and out == ""
         assert "line 2: negative vertex count -3" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("e 0 1 w=1 w=9", "line 2: repeated attribute 'w=9'"),
+        ("e 0 1 c=1 c=2", "line 2: repeated attribute 'c=2'"),
+        ("e 1 1", "line 2: self-loop at 1")])
+    def test_malformed_edge_line(self, capsys, tmp_path, line, message):
+        f = tmp_path / "bad.g"
+        f.write_text(f"v 3\n{line}\n")
+        code, out, err = run_cli(capsys, "count", "wedginj",
+                                 "--pattern", "builtin:P,1", "--host", str(f))
+        assert (code, out) == (2, "") and message in err
+
     @pytest.mark.parametrize("algo", ["oracle", "pipeline:subdiv",
                                       "pipeline:uncolored"])
     def test_colors_on_some_edges_only(self, capsys, tmp_path, algo):

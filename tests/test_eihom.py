@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,24 @@ def count_edge_injective_partitions(h):
     loop-free vertex partitions of h, by direct enumeration."""
     return sum(quotient(h, blocks) is not None
                for blocks in all_partitions(range(h.n)))
+
+
+def brute_classes(h, cover):
+    """Each class (cover blocks, allocation) of the loop-free,
+    edge-injective partitions of h, mapped to its number of partitions, by
+    listing every partition."""
+    classes, subpartitions = Counter(), {}
+    for blocks in all_partitions(range(h.n)):
+        if quotient(h, blocks) is None:
+            continue
+        cover_blocks = tuple(sorted(tuple(sorted(b)) for b in blocks
+                                    if set(b) & cover))
+        rho_c = subpartitions.setdefault(cover_blocks,
+                                         CoverSubPartition(cover_blocks))
+        alloc = Counter(frozenset(color_of(v, rho_c, h) for v in b)
+                        for b in blocks if not set(b) & cover)
+        classes[cover_blocks, frozenset(alloc.items())] += 1
+    return classes
 
 
 def seeded_host():
@@ -91,8 +110,11 @@ class TestColors:
 
 class TestClasses:
     def test_cover_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a vertex cover"):
             list(enumerate_classes(K3, [0]))
+        # a free isolated vertex has the empty color, which class sizes miss
+        with pytest.raises(ValueError, match="outside it is isolated"):
+            list(enumerate_classes(Graph(5, [(0, 1), (1, 2)]), [1]))
 
     def test_class_sums_match_partition_counts(self):
         rng = random.Random(1)
@@ -159,26 +181,41 @@ class TestClasses:
                 assert all(O.is_isomorphic(qs[0], q2) for q2 in qs[1:])
 
     def test_class_prune_is_exact(self):
-        # the cover sub-partitions enumerated are exactly those of the
-        # loop-free, edge-injective partitions
-        for core in self.random_cores():
+        # the classes enumerated, with their allocations and sizes, are
+        # exactly those of the loop-free, edge-injective partitions
+        rng = random.Random(15)
+        cores = [make_pattern("P", 3), make_pattern("C", 5),
+                 make_pattern("C", 6), make_pattern("kP2", 2),
+                 make_pattern("kP2", 3), make_pattern("W", 2),
+                 make_pattern("Kab", 2, 3)]
+        while len(cores) < 40:
+            core = reduce_isolated(rand_graph(rng, rng.randrange(3, 8),
+                                              rng.choice((0.3, 0.45)))).core
+            if core.n and len(minimum_vertex_cover(core)) <= 3:
+                cores.append(core)
+        for core in cores:
             cover = minimum_vertex_cover(core)
-            want = set()
-            for blocks in all_partitions(range(core.n)):
-                if quotient(core, blocks) is not None:
-                    rho = sorted(tuple(sorted(b)) for b in blocks)
-                    want.add(tuple(b for b in rho if set(b) & cover))
-            got = {rho_c.blocks for rho_c, _ in enumerate_classes(core, cover)}
-            assert got == want
+            got = Counter()
+            for rho_c, alloc in enumerate_classes(core, cover):
+                key = rho_c.blocks, frozenset(alloc.items())
+                assert key not in got
+                got[key] = class_size(rho_c, alloc, core)
+            assert got == brute_classes(core, cover)
 
     @pytest.mark.parametrize("pattern, candidates", [
         (make_pattern("C", 6), 4), (make_pattern("kP2", 2), 12),
-        (make_pattern("Kab", 2, 3), 1)])
-    def test_candidates_are_realized(self, pattern, candidates):
+        (make_pattern("Kab", 2, 3), 1), (make_pattern("kP2", 3), 544)])
+    def test_candidates_are_realized(self, monkeypatch, pattern, candidates):
+        # one quotient per realized class, none per candidate
+        calls = []
+        monkeypatch.setattr(eihom, "quotient",
+                            lambda *args: calls.append(1) or quotient(*args))
         core = reduce_isolated(pattern).core
         cover = minimum_vertex_cover(core)
         assert sum(1 for _ in enumerate_classes(core, cover)) == candidates
+        assert not calls
         assert sum(1 for _ in realized_classes(core, cover)) == candidates
+        assert len(calls) == candidates
 
     def test_representative_infeasible_when_color_missing(self):
         # SS_2: center 0 covers everything; asking for a color no free

@@ -317,6 +317,17 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_graph("v 2\ne 0 5")
 
+    def test_self_loop_reports_line(self):
+        with pytest.raises(ValueError, match=r"^line 3: self-loop at 2$"):
+            parse_graph("v 3\ne 0 1\ne 2 2\n")
+
+    @pytest.mark.parametrize("attrs, again", [
+        ("w=1 w=9", "'w=9'"), ("c=1 c=2", "'c=2'"), ("c=1 w=2 c=1", "'c=1'")])
+    def test_repeated_attribute(self, attrs, again):
+        with pytest.raises(ValueError,
+                           match=rf"^line 3: repeated attribute {again}$"):
+            parse_graph(f"v 3\ne 1 2 w=1\ne 0 1 {attrs}\n")
+
     def test_comments_and_weights(self):
         g = parse_graph("# hello\nv 2\ne 0 1 c=1 w=7\n")
         assert g.weight == {(0, 1): 7}
