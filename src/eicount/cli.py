@@ -98,10 +98,9 @@ def _bipartition(g: Graph):
 def _pick_left(g: Graph):
     """Choose the pipeline's left side: the other side must have degree <= 2
     and left pairs may share at most one neighbor."""
-    a, b = _bipartition(g)
-    for left in (a, b):
+    for left in _bipartition(g):
         try:
-            pkg.reductions.build_Gr(g, left, 0)
+            pkg.reductions.validate_hub_sides(g, left)
             return left
         except ValueError:
             continue
@@ -169,6 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("count", help="compute one counting quantity")
+    c.set_defaults(run=_run_count)
     c.add_argument("quantity", choices=QUANTITIES)
     c.add_argument("--pattern", help="graph file or builtin:<kind>,<params>")
     c.add_argument("--host", help="graph file or builtin:<kind>,<params>")
@@ -182,10 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--format", choices=("text", "json"), default="text")
 
     g = sub.add_parser("gen", help="emit a builtin pattern graph")
+    g.set_defaults(run=_run_gen)
     g.add_argument("kind")
     g.add_argument("params", nargs="*", type=int)
 
     v = sub.add_parser("verify", help="run an identity-verification suite")
+    v.set_defaults(run=_run_verify)
     v.add_argument("suite", help="suite name, or all (an unknown name lists "
                                  "the suites)")
     return ap
@@ -195,11 +197,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.command == "count":
-            return _run_count(args)
-        if args.command == "gen":
-            return _run_gen(args)
-        return _run_verify(args)
+        return args.run(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

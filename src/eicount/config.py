@@ -14,8 +14,9 @@ _DEFAULTS = {
     "PATTERN_CAP": 8,
     # max |E(G)| for edge-subset oracles (odd edge-sets by enumeration)
     "EDGE_SUBSET_CAP": 24,
-    # max |V(G)| for exhaustive vertex-cover search
-    "VERTEX_COVER_CAP": 24,
+    # max candidate subsets the exhaustive vertex-cover search tries; 10^6
+    # take about 1.2 s (K_{12,12}, Python 3.11)
+    "VERTEX_COVER_CAP": 10**6,
     # max memoised states (unmatched-vertex sets reached, dead ends included)
     # of the perfect-matching counter; 10^6 states take about 10 s and
     # 110 MB (a random cubic graph on 120 vertices, Python 3.11), while the

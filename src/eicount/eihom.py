@@ -4,14 +4,17 @@ with bounded weak vertex-cover number.
 The algorithm preprocesses away isolated vertices and edges, fixes a minimum
 vertex cover C of the remaining core, and groups the edge-injective vertex
 partitions of the core into classes, each a pair (cover sub-partition,
-color allocation).  The cover sub-partitions are grown in bitmasks one
-vertex at a time, and no vertex is placed where it would make a loop or a
-second edge between two blocks, so only nonempty classes are generated and
-each builds one quotient.  The count sums class size (a closed multinomial
-formula) times the embeddings of that quotient, found by a cover-indexed
-enumeration: at each complete cover placement the independent vertices'
-candidate masks are split into the cells of their Venn diagram, and an
-exact occupancy sum, memoised per cell profile in each call, fills them.
+color allocation) held in bitmasks: the sub-partition is a tuple of block
+masks, a free vertex's color is the mask of the blocks it has an edge to,
+and an allocation pairs tuples of disjoint colors with multiplicities.  The
+cover sub-partitions are grown one vertex at a time, and no vertex is
+placed where it would make a loop or a second edge between two blocks, so
+only nonempty classes are generated and each builds one quotient.  The
+count sums class size (a closed multinomial formula) times the embeddings
+of that quotient, found by a cover-indexed enumeration: at each complete
+cover placement the independent vertices' candidate masks are split into
+the cells of their Venn diagram, and an exact occupancy sum, memoised per
+cell profile in each call, fills them.
 """
 
 from __future__ import annotations
@@ -58,67 +61,42 @@ def reduce_isolated(h: Graph) -> ReducedPattern:
 # ---------------------------------------------------------------------------
 # equivalence classes of edge-injective partitions
 
-class CoverSubPartition:
-    """Partition of a subset D of the pattern's vertices into blocks that
-    all intersect the fixed cover; the vertices outside D are ``free``.
-    ``colors`` holds the pattern last given to ``_free_colors`` and the
-    colors of its free vertices."""
-
-    __slots__ = ("blocks", "domain", "colors")
-
-    def __init__(self, blocks):
-        self.blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        self.domain = frozenset(v for b in self.blocks for v in b)
-        self.colors = None
+def free_colors(h: Graph, blocks):
+    """Map each vertex of h outside the block masks ``blocks`` to its color:
+    the mask of the indices of the blocks it has an edge to."""
+    domain = 0
+    for b in blocks:
+        domain |= b
+    return {v: sum(1 << j for j, b in enumerate(blocks) if h.masks[v] & b)
+            for v in range(h.n) if not domain >> v & 1}
 
 
-def color_of(v, rho_c: CoverSubPartition, h: Graph):
-    """The set of rho_c blocks adjacent to the free vertex v."""
-    if v in rho_c.domain:
-        raise ValueError(f"vertex {v} is not free")
-    return _free_colors(h, rho_c)[v]
-
-
-def _free_colors(h: Graph, rho_c: CoverSubPartition):
-    """The colors of the free vertices of h, read from the masks once per
-    (rho_c, h) for enumerating, sizing and building a class."""
-    if rho_c.colors is None or rho_c.colors[0] is not h:
-        blocks = [(b, sum(1 << u for u in b)) for b in rho_c.blocks]
-        rho_c.colors = (h, {v: frozenset(b for b, m in blocks if h.masks[v] & m)
-                            for v in range(h.n) if v not in rho_c.domain})
-    return rho_c.colors[1]
-
-
-def _color_set_candidates(colors, start, chosen, used):
-    """Yield every nonempty family of pairwise-disjoint colors (the possible
+def _betas(colors, start=0, chosen=(), used=0):
+    """Yield every nonempty tuple of pairwise-disjoint colors (the possible
     per-block color sets) that extends ``chosen`` by colors from
     ``colors[start:]`` disjoint from ``used``."""
     for i in range(start, len(colors)):
         c = colors[i]
-        if used & c:
-            continue
-        nxt = chosen + (c,)
-        yield frozenset(nxt)
-        yield from _color_set_candidates(colors, i + 1, nxt, used | c)
+        if not used & c:
+            beta = chosen + (c,)
+            yield beta
+            yield from _betas(colors, i + 1, beta, used | c)
 
 
 def _allocations(betas, i, remaining, alloc):
-    """Yield each extension of ``alloc`` by multiplicities for ``betas[i:]``
-    that uses up the ``remaining`` count of every color exactly."""
+    """Yield each extension of ``alloc`` by (beta, multiplicity) pairs for
+    ``betas[i:]`` that uses up the ``remaining`` count of every color
+    exactly; a multiplicity of zero adds no pair."""
     if i == len(betas):
-        if all(r == 0 for r in remaining.values()):
-            yield dict(alloc)
+        if not any(remaining.values()):
+            yield alloc
         return
     beta = betas[i]
-    limit = min(remaining[k] for k in beta)
-    for mult in range(limit + 1):
-        if mult:
-            alloc[beta] = mult
+    for mult in range(min(remaining[k] for k in beta) + 1):
         yield from _allocations(
             betas, i + 1,
-            {k: r - (mult if k in beta else 0) for k, r in remaining.items()},
-            alloc)
-        alloc.pop(beta, None)
+            {k: r - mult if k in beta else r for k, r in remaining.items()},
+            alloc + ((beta, mult),) if mult else alloc)
 
 
 def _subpartitions(masks, order, ncover, i, blocks, reach):
@@ -146,17 +124,19 @@ def _subpartitions(masks, order, ncover, i, blocks, reach):
 
 
 def enumerate_classes(h: Graph, cover):
-    """Yield the (CoverSubPartition, color allocation) pairs of the nonempty
-    classes of h, which has no isolated vertex outside ``cover``.  An
-    allocation maps each beta (a frozenset of pairwise-disjoint colors) to
-    its multiplicity; the betas holding a color K take all its free vertices.
+    """Yield the (blocks, alloc) pairs of the nonempty classes of h, which
+    has no isolated vertex outside ``cover``.  ``blocks`` is the cover
+    sub-partition as a tuple of block masks in order of least vertex, and
+    ``alloc`` a tuple of (beta, multiplicity) pairs, where a beta is a tuple
+    of pairwise-disjoint colors (see ``free_colors``), in increasing order;
+    the betas holding a color take all its free vertices.
 
     ``_subpartitions`` places the cover, then each other vertex, and refuses
     a placement that makes a loop or an edge collision in the quotient that
     leaves every unplaced vertex a singleton.  Every partition of a class
-    over rho_c coarsens that one, and coarsening never removes a loop or a
-    collision, so only empty classes are cut off.  Non-cover vertices are
-    pairwise non-adjacent, so a join never changes the edges of a free
+    over the blocks coarsens that one, and coarsening never removes a loop
+    or a collision, so only empty classes are cut off.  Non-cover vertices
+    are pairwise non-adjacent, so a join never changes the edges of a free
     vertex, and those are checked once, when the cover is placed.  A vertex
     joining block j has an edge to a block that block j had no edge to, so
     of t blocks each takes at most t - 1 non-cover vertices.  Merging free
@@ -170,56 +150,52 @@ def enumerate_classes(h: Graph, cover):
         raise ValueError("the given set is not a vertex cover, or a vertex "
                          "outside it is isolated")
     for found in _subpartitions(h.masks, order, len(cover), 0, (), ()):
-        rho_c = CoverSubPartition(bits(b) for b in found)
-        counts = Counter(_free_colors(h, rho_c).values())
-        distinct = sorted(counts, key=lambda s: sorted(map(sorted, s)))
-        betas = list(_color_set_candidates(distinct, 0, (), frozenset()))
-        for alloc in _allocations(betas, 0, counts, {}):
-            yield rho_c, alloc
+        blocks = tuple(sorted(found, key=lambda b: b & -b))
+        counts = Counter(free_colors(h, blocks).values())
+        betas = list(_betas(sorted(counts)))
+        for alloc in _allocations(betas, 0, counts, ()):
+            yield blocks, alloc
 
 
-def class_size(rho_c: CoverSubPartition, alloc, h: Graph) -> int:
-    """Number of partitions in the equivalence class (rho_c, alloc):
+def class_size(blocks, alloc, h: Graph) -> int:
+    """Number of partitions in the equivalence class (blocks, alloc):
     a product of per-color multinomials for distributing the free vertices
     of each color among the betas containing it, times (mult!)^{|beta|-1}
     per beta for pairing the chosen vertices into blocks.  Returns 0 for
     inconsistent candidates."""
-    counts = Counter(_free_colors(h, rho_c).values())
-    if any(sum(map(len, beta)) != len(frozenset().union(*beta))
-           for beta in alloc):
-        return 0  # a beta with two colors that share a block
+    counts = Counter(free_colors(h, blocks).values())
     out = 1
-    for k in set(counts).union(*alloc):
-        parts = [alloc[beta] for beta in alloc if k in beta]
-        have = counts.get(k, 0)
-        if sum(parts) != have:
-            return 0
-        out *= multinomial(have, parts)
-    for beta, mult in alloc.items():
+    for beta, mult in alloc:
+        used = 0
+        for k in beta:
+            if used & k:
+                return 0  # two colors of one beta share a block
+            used |= k
         out *= factorial(mult) ** (len(beta) - 1)
+    for k in set(counts).union(*(beta for beta, _ in alloc)):
+        parts = [mult for beta, mult in alloc if k in beta]
+        if sum(parts) != counts[k]:
+            return 0
+        out *= multinomial(counts[k], parts)
     return out
 
 
-def build_representative(rho_c: CoverSubPartition, alloc, h: Graph):
+def build_representative(blocks, alloc, h: Graph):
     """Greedy construction of one partition in the class; returns its
     quotient graph, or None when the class is empty (vertices run out, are
     left over, or the quotient is not edge-injective)."""
-    colors = _free_colors(h, rho_c)
     pools = {}
-    for v in sorted(colors):
-        pools.setdefault(colors[v], []).append(v)
-    blocks = [list(b) for b in rho_c.blocks]
-    for beta in sorted(alloc, key=lambda s: sorted(map(sorted, s))):
-        for _ in range(alloc[beta]):
-            block = []
-            for k in sorted(beta, key=lambda s: sorted(map(sorted, s))):
-                if not pools.get(k):
-                    return None
-                block.append(pools[k].pop())
-            blocks.append(block)
+    for v, k in free_colors(h, blocks).items():
+        pools.setdefault(k, []).append(v)
+    parts = [bits(b) for b in blocks]
+    for beta, mult in alloc:
+        for _ in range(mult):
+            if not all(pools.get(k) for k in beta):
+                return None
+            parts.append([pools[k].pop() for k in beta])
     if any(pools.values()):
         return None
-    return quotient(h, blocks)
+    return quotient(h, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +388,15 @@ def count_edginj_poly(h: Graph, g: Graph, bound: int = 3) -> int:
 
 def realized_classes(h: Graph, cover):
     """The equivalence classes the algorithm sums over, with their sizes and
-    the quotient of one representative each.  Yields (rho_c, alloc, size,
+    the quotient of one representative each.  Yields (blocks, alloc, size,
     quotient graph).  Every enumerated class is nonempty, so an empty one
     raises rather than being dropped from the sum."""
-    for rho_c, alloc in enumerate_classes(h, cover):
-        size = class_size(rho_c, alloc, h)
-        rep = build_representative(rho_c, alloc, h)
+    for blocks, alloc in enumerate_classes(h, cover):
+        size = class_size(blocks, alloc, h)
+        rep = build_representative(blocks, alloc, h)
         if size == 0 or rep is None:
             raise AssertionError(
-                f"enumerated class {rho_c.blocks} {alloc} is empty "
+                f"enumerated class {blocks} {alloc} is empty "
                 f"(size {size}, representative {rep})")
-        yield rho_c, alloc, size, rep
+        yield blocks, alloc, size, rep
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .config import check_cap
+from .config import CapExceeded, cap
 
 
 def edge(u: int, v: int) -> tuple[int, int]:
@@ -437,13 +437,20 @@ def isolated_parts(g: Graph):
 
 
 def minimum_vertex_cover(g: Graph):
-    """Smallest vertex cover, found by exhaustive search in increasing size."""
-    check_cap("VERTEX_COVER_CAP", g.n)
+    """Smallest vertex cover, found by exhaustive search in increasing size.
+    Each candidate subset tried is charged against ``VERTEX_COVER_CAP``."""
     if not g.edges:
         return frozenset()
+    limit = cap("VERTEX_COVER_CAP")
+    tried = 0
     verts = sorted({v for e in g.edges for v in e})
     for size in range(len(verts) + 1):
         for cand in itertools.combinations(verts, size):
+            tried += 1
+            if tried > limit:
+                raise CapExceeded(f"VERTEX_COVER_CAP: the cover search tried "
+                                  f"{limit} subsets of {len(verts)} vertices "
+                                  f"and found no cover of size {size}")
             cs = set(cand)
             if all(u in cs or v in cs for u, v in g.edges):
                 return frozenset(cand)

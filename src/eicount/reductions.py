@@ -30,7 +30,11 @@ def _validate_bipartite_only(g: Graph, left):
             raise ValueError("graph is not bipartite for the given left set")
 
 
-def _validate_bipartite(g: Graph, left):
+def validate_hub_sides(g: Graph, left):
+    """Check the hub construction's preconditions: g is bipartite with
+    ``left`` as one side, every right vertex has degree at most 2, and no
+    two left vertices share two neighbours.  Returns the sorted (left,
+    right) vertex lists, or raises ValueError."""
     left = sorted(set(left))
     _validate_bipartite_only(g, left)
     lset = set(left)
@@ -53,7 +57,7 @@ def _hub_core(g: Graph, left, first: int):
 
     Returns (vertex count, edge list).
     """
-    left, right = _validate_bipartite(g, left)
+    left, right = validate_hub_sides(g, left)
     keep_right = [v for v in right if g.degree(v) == 1]
     newid = {v: first + i for i, v in enumerate(left + keep_right)}
     es = [(0, newid[v]) for v in left]

@@ -18,7 +18,7 @@ from eicount.exact import (falling_factorial, plant_polynomials,
 from eicount.graphs import (Graph, line_graph, make_pattern,
                             minimum_vertex_cover, parse_graph,
                             serialize_graph, subdivide, vertex_cover_number)
-from test_eihom import count_edge_injective_partitions
+from test_eihom import class_of, count_edge_injective_partitions
 
 SEED = 987654321
 
@@ -80,25 +80,14 @@ def test_criterion_3_class_bookkeeping():
             continue
         cover = minimum_vertex_cover(core)
         total = 0
-        for rho_c, alloc, size, rep_q in eihom.realized_classes(core, cover):
+        for blocks, alloc, size, rep_q in eihom.realized_classes(core, cover):
             total += size
             # the representative's quotient must represent its whole class
             from eicount.graphs import all_partitions, quotient
-            for blocks in all_partitions(range(core.n)):
-                q = quotient(core, blocks)
-                if q is None:
-                    continue
-                rho = sorted(tuple(sorted(b)) for b in blocks)
-                cover_blocks = tuple(b for b in rho if set(b) & cover)
-                if cover_blocks != rho_c.blocks:
-                    continue
-                alloc2 = {}
-                for b in rho:
-                    if set(b) & cover:
-                        continue
-                    beta = frozenset(eihom.color_of(v, rho_c, core) for v in b)
-                    alloc2[beta] = alloc2.get(beta, 0) + 1
-                if alloc2 == dict(alloc):
+            for partition in all_partitions(range(core.n)):
+                q = quotient(core, partition)
+                if q is not None and class_of(core, cover, partition) == (
+                        blocks, dict(alloc)):
                     assert oracles.is_isomorphic(rep_q, q)
         assert total == count_edge_injective_partitions(core)
         checked += 1

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from eicount import cli
 from eicount.cli import ROUTES, main
-from eicount.graphs import parse_graph, serialize_graph
+from eicount.graphs import make_pattern, parse_graph, serialize_graph
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +103,21 @@ class TestCount:
                                "--pattern", "builtin:K,12",
                                "--host", "builtin:K,12")
         assert code == 3 and "cap" in err.lower()
+
+    @pytest.mark.parametrize("leaves", ["24", "40"])
+    def test_large_star_within_the_cover_cap(self, capsys, leaves):
+        # the cover search tries 2 subsets, whatever the number of leaves
+        code, out, _ = run_cli(capsys, "count", "edginj", "--algo", "poly",
+                               "--pattern", "builtin:Kab,1," + leaves,
+                               "--host", "builtin:K,5")
+        assert (code, out) == (0, "0\n")
+
+    def test_cover_cap_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setenv("EICOUNT_VERTEX_COVER_CAP", "1000")
+        code, out, err = run_cli(capsys, "count", "edginj", "--algo", "poly",
+                                 "--pattern", "builtin:Kab,6,6",
+                                 "--host", "builtin:K,5")
+        assert (code, out) == (3, "") and "VERTEX_COVER_CAP" in err
 
     def test_long_cycle_within_the_search_budget(self, capsys):
         code, out, _ = run_cli(capsys, "count", "edginj",
@@ -219,6 +235,17 @@ class TestCount:
         assert code == 2 and out == ""
         assert f"unknown algo {algo!r} for {quantity}" in err
         assert "oracle" in err
+
+
+class TestPickLeft:
+    def test_checks_the_sides_without_building_the_hub(self, monkeypatch):
+        from eicount import reductions
+        monkeypatch.setattr(reductions, "build_Gr",
+                            lambda *args: pytest.fail("hub graph built"))
+        # K_{3,1}: the side {0, 1, 2} leaves vertex 3 with degree 3
+        assert cli._pick_left(make_pattern("Kab", 3, 1)) == [3]
+        with pytest.raises(ValueError, match="no side of the host"):
+            cli._pick_left(make_pattern("Kab", 3, 3))
 
 
 class TestGen:

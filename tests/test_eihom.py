@@ -2,17 +2,18 @@ import gc
 import itertools
 import random
 from collections import Counter
+from math import factorial
 
 import pytest
 
 from eicount import eihom
 from eicount import oracles as O
 from eicount.config import CapExceeded
-from eicount.eihom import (CoverSubPartition, build_representative,
-                           class_size, color_of, count_edginj_poly,
-                           count_emb_small_vc, enumerate_classes,
-                           realized_classes, reduce_isolated)
-from eicount.graphs import (Graph, all_partitions, make_pattern,
+from eicount.eihom import (build_representative, class_size,
+                           count_edginj_poly, count_emb_small_vc,
+                           enumerate_classes, free_colors, realized_classes,
+                           reduce_isolated)
+from eicount.graphs import (Graph, all_partitions, bits, make_pattern,
                             minimum_vertex_cover, quotient,
                             vertex_cover_number)
 
@@ -32,21 +33,28 @@ def count_edge_injective_partitions(h):
                for blocks in all_partitions(range(h.n)))
 
 
+def class_of(h, cover, partition):
+    """The class of a vertex partition of h: its cover blocks as masks in
+    order of least vertex, and a Counter of the betas of its other blocks
+    (each the increasing tuple of its vertices' colors)."""
+    inside = sum(1 << v for v in cover)
+    masks = sorted((sum(1 << v for v in b) for b in partition),
+                   key=lambda b: b & -b)
+    blocks = tuple(b for b in masks if b & inside)
+    colors = free_colors(h, blocks)
+    return blocks, Counter(tuple(sorted(colors[v] for v in bits(b)))
+                           for b in masks if not b & inside)
+
+
 def brute_classes(h, cover):
     """Each class (cover blocks, allocation) of the loop-free,
     edge-injective partitions of h, mapped to its number of partitions, by
     listing every partition."""
-    classes, subpartitions = Counter(), {}
-    for blocks in all_partitions(range(h.n)):
-        if quotient(h, blocks) is None:
-            continue
-        cover_blocks = tuple(sorted(tuple(sorted(b)) for b in blocks
-                                    if set(b) & cover))
-        rho_c = subpartitions.setdefault(cover_blocks,
-                                         CoverSubPartition(cover_blocks))
-        alloc = Counter(frozenset(color_of(v, rho_c, h) for v in b)
-                        for b in blocks if not set(b) & cover)
-        classes[cover_blocks, frozenset(alloc.items())] += 1
+    classes = Counter()
+    for partition in all_partitions(range(h.n)):
+        if quotient(h, partition) is not None:
+            blocks, alloc = class_of(h, cover, partition)
+            classes[blocks, frozenset(alloc.items())] += 1
     return classes
 
 
@@ -94,18 +102,19 @@ class TestColors:
 
     def test_running_example_colors(self):
         h, (u, v, w, x) = self._fig4_pattern()
-        rho_c = CoverSubPartition([[u], [v, x], [w]])
+        # blocks {u}, {v, x}, {w} are indices 0, 1, 2
+        colors = free_colors(h, (1 << u, 1 << v | 1 << x, 1 << w))
         a, b, c, d, e, f = 4, 5, 6, 7, 8, 9
-        assert color_of(a, rho_c, h) == frozenset([(u,)])
-        assert color_of(b, rho_c, h) == frozenset([(u,), (v, x)])
-        assert color_of(c, rho_c, h) == color_of(f, rho_c, h)
-        assert color_of(d, rho_c, h) == color_of(e, rho_c, h)
+        assert colors[a] == 0b001
+        assert colors[b] == 0b011
+        assert colors[c] == colors[f] == 0b010
+        assert colors[d] == colors[e] == 0b100
 
-    def test_color_of_rejects_domain_vertex(self):
+    def test_cover_vertex_has_no_color(self):
         h, cover = self._fig4_pattern()
-        rho_c = CoverSubPartition([[v] for v in cover])
-        with pytest.raises(ValueError):
-            color_of(cover[0], rho_c, h)
+        colors = free_colors(h, tuple(1 << v for v in cover))
+        assert sorted(colors) == [4, 5, 6, 7, 8, 9]
+        assert not set(cover) & set(colors)
 
 
 class TestClasses:
@@ -137,14 +146,15 @@ class TestClasses:
             if core.n == 0:
                 continue
             cover = minimum_vertex_cover(core)
-            for rho_c, alloc in enumerate_classes(core, cover):
-                assert len(rho_c.blocks) <= len(cover)
-                assert len(rho_c.domain) <= len(cover) ** 2
-                for beta, mult in alloc.items():
-                    assert mult <= core.n
-                    union = set()
+            for blocks, alloc in enumerate_classes(core, cover):
+                assert len(blocks) <= len(cover)
+                assert sum(b.bit_count() for b in blocks) <= len(cover) ** 2
+                for beta, mult in alloc:
+                    assert 0 < mult <= core.n
+                    assert list(beta) == sorted(set(beta))
+                    union = 0
                     for k in beta:
-                        assert not (union & k)
+                        assert k and not union & k
                         union |= k
 
     @staticmethod
@@ -160,23 +170,13 @@ class TestClasses:
         for core in self.random_cores():
             cover = minimum_vertex_cover(core)
             groups = {}
-            for blocks in all_partitions(range(core.n)):
-                q = quotient(core, blocks)
+            for partition in all_partitions(range(core.n)):
+                q = quotient(core, partition)
                 if q is None:
                     continue
-                rho = sorted(tuple(sorted(b)) for b in blocks)
-                cover_blocks = tuple(b for b in rho if set(b) & cover)
-                rho_c = CoverSubPartition(cover_blocks)
-                alloc = {}
-                for b in rho:
-                    if set(b) & cover:
-                        continue
-                    beta = frozenset(color_of(v, rho_c, core) for v in b)
-                    alloc[beta] = alloc.get(beta, 0) + 1
-                key = (cover_blocks, tuple(sorted(
-                    (sorted(map(sorted, map(sorted, beta))), m)
-                    for beta, m in alloc.items())))
-                groups.setdefault(str(key), []).append(q)
+                blocks, alloc = class_of(core, cover, partition)
+                groups.setdefault((blocks, frozenset(alloc.items())),
+                                  []).append(q)
             for qs in groups.values():
                 assert all(O.is_isomorphic(qs[0], q2) for q2 in qs[1:])
 
@@ -193,13 +193,19 @@ class TestClasses:
                                               rng.choice((0.3, 0.45)))).core
             if core.n and len(minimum_vertex_cover(core)) <= 3:
                 cores.append(core)
+        while len(cores) < 52:
+            core = reduce_isolated(rand_graph(rng, rng.randrange(5, 9),
+                                              0.45)).core
+            if core.n and len(minimum_vertex_cover(core)) == 4:
+                cores.append(core)
         for core in cores:
             cover = minimum_vertex_cover(core)
             got = Counter()
-            for rho_c, alloc in enumerate_classes(core, cover):
-                key = rho_c.blocks, frozenset(alloc.items())
+            for blocks, alloc in enumerate_classes(core, cover):
+                key = blocks, frozenset(alloc)
                 assert key not in got
-                got[key] = class_size(rho_c, alloc, core)
+                got[key] = class_size(blocks, alloc, core)
+                assert got[key] > 0  # Counter equality skips zero counts
             assert got == brute_classes(core, cover)
 
     @pytest.mark.parametrize("pattern, candidates", [
@@ -221,12 +227,12 @@ class TestClasses:
         # SS_2: center 0 covers everything; asking for a color no free
         # vertex has must report an empty class
         h = make_pattern("SS", 2)
-        cover = minimum_vertex_cover(h)
-        rho_c = CoverSubPartition([[v] for v in sorted(cover)])
-        bogus_color = frozenset([tuple(sorted(cover))])
-        alloc = {frozenset([bogus_color]): 1}
-        assert build_representative(rho_c, alloc, h) is None
-        assert class_size(rho_c, alloc, h) == 0
+        blocks = tuple(1 << v for v in sorted(minimum_vertex_cover(h)))
+        bogus_color = 1 << len(blocks)  # a block index past the last
+        assert bogus_color not in free_colors(h, blocks).values()
+        alloc = (((bogus_color,), 1),)
+        assert build_representative(blocks, alloc, h) is None
+        assert class_size(blocks, alloc, h) == 0
 
 
 class TestEmbSmallVc:
@@ -412,6 +418,12 @@ class TestCountEdginjPoly:
     def test_bound_enforced(self):
         with pytest.raises(CapExceeded):
             count_edginj_poly(make_pattern("K", 6), K4, bound=2)
+
+    def test_large_star(self):
+        # 41 vertices, cover {0}: the center goes to the host's center and
+        # the leaves injectively to its 41 leaves
+        assert count_edginj_poly(make_pattern("Kab", 1, 40),
+                                 make_pattern("Kab", 1, 41)) == factorial(41)
 
     @pytest.mark.parametrize("count", [count_edginj_poly, count_emb_small_vc])
     @pytest.mark.parametrize("h", [Graph(0, []), make_pattern("kK2", 2),

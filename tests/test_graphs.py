@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eicount.config import CapExceeded
 from eicount.graphs import (Graph, all_partitions, bfs_layers, bits,
                             isolated_parts, line_graph, make_pattern,
-                            parse_graph, quotient, serialize_graph, subdivide,
-                            vertex_cover_number, weight_gadget)
+                            minimum_vertex_cover, parse_graph, quotient,
+                            serialize_graph, subdivide, vertex_cover_number,
+                            weight_gadget)
 
 
 def random_graph_strategy(max_n=7, p=0.5):
@@ -273,6 +275,24 @@ class TestVertexCover:
 
     def test_weak_wedges(self):
         assert vertex_cover_number(make_pattern("kP2", 3), weak=True) == 3
+
+    @pytest.mark.parametrize("leaves", [24, 40])
+    def test_large_star_small_cover(self, leaves):
+        # the cap bounds subsets tried, not vertices: 2 subsets find {0}
+        assert minimum_vertex_cover(make_pattern("Kab", 1, leaves)) == {0}
+
+    def test_cap_counts_subsets_tried(self, monkeypatch):
+        # K_4 tries 1 + 4 + 6 subsets of sizes 0..2, then finds {0, 1, 2}
+        monkeypatch.setenv("EICOUNT_VERTEX_COVER_CAP", "12")
+        assert minimum_vertex_cover(make_pattern("K", 4)) == {0, 1, 2}
+        monkeypatch.setenv("EICOUNT_VERTEX_COVER_CAP", "11")
+        with pytest.raises(CapExceeded, match="VERTEX_COVER_CAP"):
+            minimum_vertex_cover(make_pattern("K", 4))
+
+    def test_dense_pattern_hits_the_cap(self, monkeypatch):
+        monkeypatch.setenv("EICOUNT_VERTEX_COVER_CAP", "1000")
+        with pytest.raises(CapExceeded, match="tried 1000 subsets"):
+            vertex_cover_number(make_pattern("K", 12))
 
     @given(random_graph_strategy(max_n=6))
     @settings(max_examples=40, deadline=None)
