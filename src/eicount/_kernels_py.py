@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 
-from .config import CapExceeded, cap
+from .config import CapExceeded, charge, left
 from .graphs import bfs_layers
 
 MODE_HOM = 0
@@ -65,12 +65,14 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None,
     rooted count is twice the number of orbits and
     EdgInj(C_L, G) = L * #{maps whose first edge is the least image edge}.
 
-    Raises :class:`CapExceeded` once the candidate images tried, summed
-    over the search nodes, pass ``SEARCH_VOLUME_CAP``, or when one frame per
-    position would pass the recursion limit.  A node is charged its
-    candidates after the adjacency, injectivity, root and distance filters
-    and before the edge-injective one, so the mask filter and the counted
-    leaves charge what testing each candidate in turn would.
+    The candidate images tried, summed over the search nodes, are charged
+    to ``SEARCH_VOLUME_CAP``: the search counts them down from what the cap
+    has left and charges them once, on return or when they run out, which
+    raises :class:`CapExceeded`.  It also raises when one frame per position
+    would pass the recursion limit.  A node is charged its candidates after
+    the adjacency, injectivity, root and distance filters and before the
+    edge-injective one, so the mask filter and the counted leaves charge
+    what testing each candidate in turn would.
     """
     npos = len(parents)
     # parents[1] can only be (0,) or (); every later position needs a parent
@@ -88,7 +90,7 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None,
     if depth > limit:
         raise CapExceeded(f"pattern on {npos} vertices: the map search needs "
                           f"{depth} stack frames, past the recursion limit {limit}")
-    budget = volume = cap("SEARCH_VOLUME_CAP")
+    budget = volume = left("SEARCH_VOLUME_CAP")
     full = (1 << n) - 1
     radius = [0] * npos
     for p, a in enumerate(anchor):
@@ -141,9 +143,8 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None,
         if a >= 0:
             cand &= balls[a][dist]
         budget -= cand.bit_count()
-        if budget < 0:
-            raise CapExceeded(f"SEARCH_VOLUME_CAP: the map search tried "
-                              f"more than {volume} images")
+        if budget < 0:  # past what the cap had left, so the charge raises
+            charge("SEARCH_VOLUME_CAP", volume - budget, "images")
         if edginj:
             pmask = 0
             for u in us:
@@ -189,7 +190,9 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None,
                 used[w] ^= pmask
         return total
 
-    return rec(0, 1, 0)
+    total = rec(0, 1, 0)
+    charge("SEARCH_VOLUME_CAP", volume - budget, "images")
+    return total
 
 
 def _pm_branches(alive, adj, hint):
@@ -248,8 +251,9 @@ def count_perfect_matchings(n, adj):
     memoised on the unmatched-vertex set.
 
     adj: per-vertex neighbor bitmasks.  The memo maps each unmatched-vertex
-    bitmask reached to its count (0 for dead ends); it is bounded by
-    ``PERFMATCH_CAP`` entries, past which :class:`CapExceeded` is raised.
+    bitmask reached to its count (0 for dead ends); its entries are charged
+    to ``PERFMATCH_CAP``, which raises :class:`CapExceeded` once they pass
+    what the cap has left.
     Each state on the stack carries the hint of :func:`_pm_branches`, the
     vertices whose degree can have dropped below 2 since its parent
     branched.  The hint only shortens the scans: the branches, and so the
@@ -258,7 +262,7 @@ def count_perfect_matchings(n, adj):
     """
     if n % 2:
         return 0
-    limit = cap("PERFMATCH_CAP")
+    limit = left("PERFMATCH_CAP")
     full = (1 << n) - 1
     memo = {0: 1}
     stack = [(full, full, None)]
@@ -274,18 +278,20 @@ def count_perfect_matchings(n, adj):
             stack.extend((b, h, None) for b, h in pending)
             continue
         memo[alive] = sum(memo[b] for b, _ in branches)
-        if len(memo) > limit:
-            raise CapExceeded(
-                f"PERFMATCH_CAP: {len(memo)} matching states exceed cap {limit}")
+        if len(memo) > limit:  # past what the cap had left: raises
+            charge("PERFMATCH_CAP", len(memo), "matching states")
+    charge("PERFMATCH_CAP", len(memo), "matching states")
     return memo[full]
 
 
 def count_odd_edge_sets(n, eu, ev, by_cardinality=False):
     """Count edge subsets inducing odd degree at every vertex, by implicit
-    exhaustive enumeration (meet-in-the-middle over the edge list)."""
+    exhaustive enumeration (meet-in-the-middle over the edge list).  The
+    subsets both halves tabulate are charged to ``EDGE_SUBSET_CAP`` first."""
     m = len(eu)
     full = (1 << n) - 1
     half = m // 2
+    charge("EDGE_SUBSET_CAP", (1 << half) + (1 << m - half), "edge subsets")
 
     def table(lo, hi):
         out = {}
@@ -301,11 +307,11 @@ def count_odd_edge_sets(n, eu, ev, by_cardinality=False):
             out.setdefault(par, [0] * (hi - lo + 1))[card] += 1
         return out
 
-    left = table(0, half)
-    right = table(half, m)
+    low = table(0, half)
+    high = table(half, m)
     counts = [0] * (m + 1)
-    for par, cl in left.items():
-        match = right.get(par ^ full)
+    for par, cl in low.items():
+        match = high.get(par ^ full)
         if not match:
             continue
         for c1, a in enumerate(cl):

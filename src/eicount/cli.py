@@ -25,7 +25,7 @@ import argparse
 import sys
 
 import eicount as pkg
-from .config import CapExceeded
+from .config import COVER_BOUND, CapExceeded, meter
 from .graphs import (Graph, bfs_layers, bits, make_pattern, parse_graph,
                      serialize_graph)
 
@@ -177,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="oracle | poly | pipeline:<name> (default oracle)")
     c.add_argument("--ell", type=int, default=2,
                    help="collar length for pipeline:line (default 2)")
-    c.add_argument("--bound", type=int, default=3,
-                   help="cover bound for emb and edginj --algo poly (default 3)")
+    c.add_argument("--bound", type=int, default=COVER_BOUND,
+                   help="cover bound for emb and edginj --algo poly "
+                        f"(default {COVER_BOUND})")
     c.add_argument("--format", choices=("text", "json"), default="text")
 
     g = sub.add_parser("gen", help="emit a builtin pattern graph")
@@ -197,7 +198,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.run(args)
+        with meter():  # the command's searches share one budget per cap
+            return args.run(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,19 +1,30 @@
-"""Enumeration caps for the brute-force oracles.
+"""Work caps for every exponential search, and the default cover bound.
 
-All oracles are exact but exponential; the caps below bound their inputs or
-the work they do, so that exceeding a cap raises :class:`CapExceeded`
-instead of silently running forever.  Every cap can be overridden through
-an environment variable ``EICOUNT_<NAME>`` holding an integer, e.g.
-``EICOUNT_PATTERN_CAP=10``.
+The oracles, the vertex-cover search behind ``eihom`` and the Holant
+enumeration are exact but exponential.  Each charges the work it does, in
+its own unit, to one of the caps below through :func:`charge`, and a charge
+that takes a cap's total past its limit raises :class:`CapExceeded` instead
+of running on.  Inside a :func:`meter` the charges of every search are
+summed per cap, so a pipeline of many searches shares one budget; the CLI
+runs each command inside one meter.  Outside a meter each charge stands
+alone, so a library call is bounded per search.
+
+Every cap can be overridden through an environment variable
+``EICOUNT_<NAME>`` holding an integer, e.g. ``EICOUNT_PATTERN_CAP=10``.
 """
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 _DEFAULTS = {
-    # max |V(H)| for the partition-sum oracle (Bell(|V(H)|) partitions)
-    "PATTERN_CAP": 8,
-    # max |E(G)| for edge-subset oracles (odd edge-sets by enumeration)
-    "EDGE_SUBSET_CAP": 24,
+    # max vertex partitions the partition-sum oracle enumerates; Bell(8),
+    # so every pattern on at most 8 vertices passes
+    "PATTERN_CAP": 4140,
+    # max edge subsets the odd edge-set enumeration tabulates, 2^ceil(m/2) +
+    # 2^floor(m/2) for m edges (meet in the middle); 2^12 + 2^12 admits
+    # every graph on at most 24 edges
+    "EDGE_SUBSET_CAP": 8192,
     # max candidate subsets the exhaustive vertex-cover search tries; 10^6
     # take about 1.2 s (K_{12,12}, Python 3.11)
     "VERTEX_COVER_CAP": 10**6,
@@ -25,15 +36,25 @@ _DEFAULTS = {
     # max candidate images the hom/emb/edginj map search tries, summed over
     # its nodes; at roughly 10^6 per second, 10^7 take about 10 s
     "SEARCH_VOLUME_CAP": 10**7,
-    # max |V(G)| for brute-force isomorphism search
-    "ISO_CAP": 24,
+    # max search nodes of the brute-force isomorphism test; two random
+    # 3-regular graphs on 24 vertices take about 30,000 per second (Python
+    # 3.11), so 3 * 10^5 take about 10 s
+    "ISO_CAP": 3 * 10**5,
     # max colorful assignments enumerated by col_holant and col_sig
     "HOLANT_CAP": 2 * 10**6,
 }
 
+# the weak vertex-cover number the polynomial routes accept by default
+COVER_BOUND = 3
+
 
 class CapExceeded(Exception):
-    """An oracle was asked for an instance beyond its enumeration cap."""
+    """A search was asked for more work than its cap allows, or an input
+    lies beyond a bound the algorithm needs."""
+
+
+# cap name -> work charged to it in the open meter; None outside a meter
+_spent: ContextVar = ContextVar("eicount_spent", default=None)
 
 
 def cap(name: str) -> int:
@@ -43,7 +64,29 @@ def cap(name: str) -> int:
     return _DEFAULTS[name]
 
 
-def check_cap(name: str, value: int) -> None:
+@contextmanager
+def meter():
+    """Sum the charges made inside the block, per cap, against one budget."""
+    token = _spent.set({})
+    try:
+        yield
+    finally:
+        _spent.reset(token)
+
+
+def left(name: str) -> int:
+    """The work the cap ``name`` still allows: its limit less what the open
+    meter has charged to it."""
+    spent = _spent.get()
+    return cap(name) - (spent.get(name, 0) if spent else 0)
+
+
+def charge(name: str, amount: int, unit: str) -> None:
+    """Charge ``amount`` of work, counted in ``unit``, to the cap ``name``;
+    raise :class:`CapExceeded` if that takes its total past the limit."""
+    spent = _spent.get()
+    if spent is not None:
+        amount = spent[name] = spent.get(name, 0) + amount
     limit = cap(name)
-    if value > limit:
-        raise CapExceeded(f"{name}: {value} exceeds cap {limit}")
+    if amount > limit:
+        raise CapExceeded(f"{name}: {amount} {unit} exceed cap {limit}")

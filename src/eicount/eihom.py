@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from math import comb, factorial, perm
 
-from .config import CapExceeded
+from .config import COVER_BOUND
 from .exact import multinomial
 from .graphs import (Graph, bits, isolated_parts, minimum_vertex_cover,
                      quotient)
@@ -43,11 +43,12 @@ class ReducedPattern:
 
     def multiplier(self, g: Graph) -> int:
         """Host-dependent factor restoring the removed pieces:
-        |V(G)| per isolated vertex and 2(|E(G)| - |E(H)| + 1) per isolated
-        edge, with |E(H)| decreasing as edges are peeled off."""
+        |V(G)| per isolated vertex and 2(|E(G)| - |E(H)| + 1), or 0 where
+        that is negative, per isolated edge, with |E(H)| decreasing as edges
+        are peeled off."""
         out = g.n ** self.iso_vertices
         for j in range(self.removed_edges):
-            out *= 2 * (g.m - (self.original_edge_count - j) + 1)
+            out *= 2 * max(0, g.m - (self.original_edge_count - j) + 1)
         return out
 
 
@@ -201,7 +202,7 @@ def build_representative(blocks, alloc, h: Graph):
 # ---------------------------------------------------------------------------
 # embedding counter for small-cover patterns
 
-def count_emb_small_vc(f: Graph, g: Graph, bound: int = 6) -> int:
+def count_emb_small_vc(f: Graph, g: Graph, bound: int = COVER_BOUND) -> int:
     """Embeddings of f into g in host-polynomial time for fixed cover size.
 
     Enumerates injective edge-preserving images of a minimum cover C' of f;
@@ -218,7 +219,9 @@ def count_emb_small_vc(f: Graph, g: Graph, bound: int = 6) -> int:
 
     A partial placement whose mask for a class holds fewer vertices than
     the class's multiplicity is abandoned: deeper cover placements only
-    remove vertices from the free set, so it counts zero.
+    remove vertices from the free set, so it counts zero.  A pattern with
+    no vertex cover of at most ``bound`` vertices raises
+    :class:`CapExceeded`.
     """
     if bound < 0:
         raise ValueError(f"cover bound must be >= 0, got {bound}")
@@ -226,9 +229,7 @@ def count_emb_small_vc(f: Graph, g: Graph, bound: int = 6) -> int:
         return 1
     if f.n > g.n:
         return 0
-    cover = sorted(minimum_vertex_cover(f))
-    if len(cover) > bound:
-        raise CapExceeded(f"cover size {len(cover)} exceeds bound {bound}")
+    cover = sorted(minimum_vertex_cover(f, limit=bound))
     class_sizes = {}
     for v in range(f.n):
         if v not in cover:
@@ -366,9 +367,10 @@ def _fill(slots, s, left, room) -> int:
 # ---------------------------------------------------------------------------
 # the full algorithm
 
-def count_edginj_poly(h: Graph, g: Graph, bound: int = 3) -> int:
+def count_edginj_poly(h: Graph, g: Graph, bound: int = COVER_BOUND) -> int:
     """Edge-injective homomorphism count for patterns of weak vertex-cover
-    number at most ``bound``, via class-collected quotient embeddings."""
+    number at most ``bound``, via class-collected quotient embeddings; a
+    pattern past the bound raises :class:`CapExceeded`."""
     if bound < 0:
         raise ValueError(f"cover bound must be >= 0, got {bound}")
     red = reduce_isolated(h)
@@ -376,10 +378,7 @@ def count_edginj_poly(h: Graph, g: Graph, bound: int = 3) -> int:
     core = red.core
     if core.n == 0:
         return mult
-    cover = minimum_vertex_cover(core)
-    if len(cover) > bound:
-        raise CapExceeded(
-            f"weak vertex-cover number {len(cover)} exceeds bound {bound}")
+    cover = minimum_vertex_cover(core, limit=bound)
     total = 0
     for _, _, n_class, rep in realized_classes(core, cover):
         total += n_class * count_emb_small_vc(rep, g, bound=bound)

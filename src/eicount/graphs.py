@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .config import CapExceeded, cap
+from .config import CapExceeded, charge, left
 
 
 def edge(u: int, v: int) -> tuple[int, int]:
@@ -436,25 +436,28 @@ def isolated_parts(g: Graph):
     return isolated, pairs
 
 
-def minimum_vertex_cover(g: Graph):
+def minimum_vertex_cover(g: Graph, limit=None):
     """Smallest vertex cover, found by exhaustive search in increasing size.
-    Each candidate subset tried is charged against ``VERTEX_COVER_CAP``."""
+    With ``limit``, the search stops after the subsets of that size and
+    raises :class:`CapExceeded` if none of them is a cover.  The candidate
+    subsets tried are charged to ``VERTEX_COVER_CAP``."""
     if not g.edges:
         return frozenset()
-    limit = cap("VERTEX_COVER_CAP")
+    budget = left("VERTEX_COVER_CAP")
     tried = 0
     verts = sorted({v for e in g.edges for v in e})
-    for size in range(len(verts) + 1):
+    top = len(verts) if limit is None else min(limit, len(verts))
+    for size in range(top + 1):
         for cand in itertools.combinations(verts, size):
             tried += 1
-            if tried > limit:
-                raise CapExceeded(f"VERTEX_COVER_CAP: the cover search tried "
-                                  f"{limit} subsets of {len(verts)} vertices "
-                                  f"and found no cover of size {size}")
+            if tried > budget:  # past what the cap had left: raises
+                charge("VERTEX_COVER_CAP", tried, "subsets")
             cs = set(cand)
             if all(u in cs or v in cs for u, v in g.edges):
+                charge("VERTEX_COVER_CAP", tried, "subsets")
                 return frozenset(cand)
-    raise AssertionError("unreachable")
+    charge("VERTEX_COVER_CAP", tried, "subsets")
+    raise CapExceeded(f"minimum vertex cover size exceeds bound {limit}")
 
 
 def vertex_cover_number(g: Graph, weak: bool = False) -> int:

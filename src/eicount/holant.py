@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from math import prod
 
-from .config import check_cap
+from .config import charge
 from .exact import exact_quotient
 from .graphs import Graph
 from .oracles import count_matchings
@@ -175,7 +175,7 @@ def _colorful_sum(sg: SignatureGraph, lit=frozenset()):
         choices[c] = refs if len(refs) == 1 else []
     lists = [choices[c] for c in sg.colors]
     volume = prod(len(opts) for opts in lists)
-    check_cap("HOLANT_CAP", volume)
+    charge("HOLANT_CAP", volume, "assignments")
     if volume == 0:
         return 0
     inc = [frozenset(sg.incident(v)) for v in range(sg.n)]

@@ -14,7 +14,7 @@ from math import perm
 
 from ._backend import run_kernel
 from ._kernels_py import MODE_EDGINJ, MODE_EMB, MODE_HOM
-from .config import check_cap
+from .config import charge, left
 from .graphs import (Graph, all_partitions, bfs_layers, bits, isolated_parts,
                      make_pattern, quotient)
 
@@ -216,8 +216,8 @@ def count_perfect_matchings(g: Graph) -> int:
 
 def count_odd_edge_sets_enum(g: Graph, by_cardinality: bool = False):
     """Edge subsets with every vertex degree odd, by exhaustive enumeration
-    over all 2^|E| subsets; optionally tallied by subset size."""
-    check_cap("EDGE_SUBSET_CAP", g.m)
+    over all 2^|E| subsets; optionally tallied by subset size.
+    ``EDGE_SUBSET_CAP`` bounds the subsets the kernel tabulates."""
     eu = [e[0] for e in g.edges]
     ev = [e[1] for e in g.edges]
     return run_kernel("count_odd_edge_sets", g.n, eu, ev, by_cardinality)
@@ -255,13 +255,18 @@ def count_simple_cycles(g: Graph, k: int) -> int:
 def count_edginj_via_partition_sum(h: Graph, g: Graph) -> int:
     """Edge-injective homomorphism count as the sum over edge-injective,
     loop-free vertex partitions of the pattern of the embedding counts of
-    their quotients.  Independent cross-check for :func:`count_edginj`."""
-    check_cap("PATTERN_CAP", h.n)
-    total = 0
+    their quotients.  Independent cross-check for :func:`count_edginj`.
+    The partitions enumerated are charged to ``PATTERN_CAP``."""
+    budget = left("PATTERN_CAP")
+    total = tried = 0
     for blocks in all_partitions(range(h.n)):
+        tried += 1
+        if tried > budget:  # past what the cap had left: raises
+            charge("PATTERN_CAP", tried, "partitions")
         q = quotient(h, blocks)
         if q is not None:
             total += count_emb(q, g)
+    charge("PATTERN_CAP", tried, "partitions")
     return total
 
 
@@ -269,8 +274,8 @@ def count_edginj_via_partition_sum(h: Graph, g: Graph) -> int:
 # isomorphism
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Brute-force isomorphism search with degree pruning."""
-    check_cap("ISO_CAP", max(g1.n, g2.n))
+    """Brute-force isomorphism search with degree pruning.  Its search
+    nodes, one per partial mapping extended, are charged to ``ISO_CAP``."""
     if g1.n != g2.n or g1.m != g2.m:
         return False
     deg1 = sorted(g1.degree(v) for v in range(g1.n))
@@ -280,8 +285,14 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     order = sorted(range(g1.n), key=lambda v: -g1.degree(v))
     mapping = [-1] * g1.n
     used = [False] * g2.n
+    budget = left("ISO_CAP")
+    nodes = 0
 
     def extend(i):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:  # past what the cap had left: raises
+            charge("ISO_CAP", nodes, "search nodes")
         if i == len(order):
             return True
         v = order[i]
@@ -302,4 +313,6 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
                 used[w] = False
         return False
 
-    return extend(0)
+    found = extend(0)
+    charge("ISO_CAP", nodes, "search nodes")
+    return found

@@ -113,11 +113,31 @@ class TestCount:
         assert (code, out) == (0, "0\n")
 
     def test_cover_cap_exit_code(self, capsys, monkeypatch):
+        # at bound 6 the search reaches size 5, past 1 + 12 + 66 + 220 + 495
+        # subsets of K_{6,6}'s 12 vertices
         monkeypatch.setenv("EICOUNT_VERTEX_COVER_CAP", "1000")
         code, out, err = run_cli(capsys, "count", "edginj", "--algo", "poly",
                                  "--pattern", "builtin:Kab,6,6",
-                                 "--host", "builtin:K,5")
+                                 "--host", "builtin:K,5", "--bound", "6")
         assert (code, out) == (3, "") and "VERTEX_COVER_CAP" in err
+
+    def test_bound_stops_the_cover_search(self, capsys, monkeypatch):
+        # the 1 + 24 + 276 + 2,024 subsets of K_{12,12}'s 24 vertices up to
+        # the default bound 3 hold no cover, and the search stops there
+        monkeypatch.setenv("EICOUNT_VERTEX_COVER_CAP", "2325")
+        code, out, err = run_cli(capsys, "count", "edginj", "--algo", "poly",
+                                 "--pattern", "builtin:Kab,12,12",
+                                 "--host", "builtin:K,5")
+        assert (code, out) == (3, "") and "exceeds bound 3" in err
+
+    def test_pipeline_searches_share_one_budget(self, capsys, monkeypatch):
+        # 16 searches try 2,912 images in all, none more than 774
+        argv = ("count", "ec-cycles", "--algo", "pipeline:paths",
+                "--host", "builtin:K,4", "--k", "3")
+        assert run_cli(capsys, *argv)[:2] == (0, "4\n")
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "1000")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "") and "SEARCH_VOLUME_CAP" in err
 
     def test_long_cycle_within_the_search_budget(self, capsys):
         code, out, _ = run_cli(capsys, "count", "edginj",

@@ -87,6 +87,18 @@ class TestReduceIsolated:
         h = make_pattern("kK2", 3)
         assert reduce_isolated(h).multiplier(make_pattern("K", 2)) == 0
 
+    def test_host_with_fewer_edges_than_the_core(self):
+        # a triangle and two isolated edges: every factor of a host with
+        # fewer than 5 edges is clamped at 0, never multiplied out of sign
+        h = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)])
+        r = reduce_isolated(h)
+        rng = random.Random(9)
+        hosts = [make_pattern("K", 2), make_pattern("P", 2)]
+        hosts += [rand_graph(rng, rng.randrange(2, 6), 0.4) for _ in range(8)]
+        for g in hosts:
+            if g.m < r.core.m:
+                assert r.multiplier(g) == O.count_edginj(h, g) == 0
+
     def test_wedge_untouched(self):
         r = reduce_isolated(make_pattern("P", 2))
         assert r.core.n == 3 and r.iso_vertices == 0 and r.removed_edges == 0

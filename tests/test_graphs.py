@@ -291,7 +291,7 @@ class TestVertexCover:
 
     def test_dense_pattern_hits_the_cap(self, monkeypatch):
         monkeypatch.setenv("EICOUNT_VERTEX_COVER_CAP", "1000")
-        with pytest.raises(CapExceeded, match="tried 1000 subsets"):
+        with pytest.raises(CapExceeded, match="1001 subsets exceed cap 1000"):
             vertex_cover_number(make_pattern("K", 12))
 
     @given(random_graph_strategy(max_n=6))

@@ -83,7 +83,7 @@ class TestSearchBudget:
         monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "9")
         assert O.count_emb(make_pattern("P", 1), K3) == 6
         monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "8")
-        with pytest.raises(CapExceeded, match="more than 8 images"):
+        with pytest.raises(CapExceeded, match="SEARCH_VOLUME_CAP: 9 images exceed cap 8"):
             O.count_emb(make_pattern("P", 1), K3)
 
     @pytest.mark.parametrize("count,h,g,want,charge", [
@@ -103,7 +103,7 @@ class TestSearchBudget:
         monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", str(charge))
         assert count(h, g) == want
         monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", str(charge - 1))
-        with pytest.raises(CapExceeded, match=f"more than {charge - 1} images"):
+        with pytest.raises(CapExceeded, match=f"images exceed cap {charge - 1}$"):
             count(h, g)
 
     def test_small_budget_stops_a_small_hard_search(self, monkeypatch):
