@@ -18,8 +18,7 @@ _EXPORTS = {
     "graphs": ["Graph", "line_graph", "make_pattern", "parse_graph",
                "quotient", "serialize_graph", "subdivide",
                "vertex_cover_number"],
-    "oracles": ["count_edge_disjoint", "count_edginj",
-                "count_edginj_via_partition_sum", "count_edginj_weighted",
+    "oracles": ["count_edge_disjoint", "count_edginj", "count_edginj_weighted",
                 "count_emb", "count_hom", "count_matchings",
                 "count_odd_edge_sets_enum", "count_perfect_matchings",
                 "is_isomorphic"],

@@ -7,9 +7,7 @@ hosts of any size work.
 
 from __future__ import annotations
 
-import sys
-
-from .config import CapExceeded, charge, left
+from .config import charge, check_depth, left
 from .graphs import bfs_layers
 
 MODE_HOM = 0
@@ -83,13 +81,7 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None,
         return 1
     # rec nests a frame per position on this stack, the ball walk two more
     # (_balls and the bfs_layers generator); one frame is kept spare
-    limit = sys.getrecursionlimit()
-    depth, frame = npos + 3, sys._getframe()
-    while frame:
-        depth, frame = depth + 1, frame.f_back
-    if depth > limit:
-        raise CapExceeded(f"pattern on {npos} vertices: the map search needs "
-                          f"{depth} stack frames, past the recursion limit {limit}")
+    check_depth(npos + 3, f"pattern on {npos} vertices: the map search")
     budget = volume = left("SEARCH_VOLUME_CAP")
     full = (1 << n) - 1
     radius = [0] * npos

@@ -10,17 +10,15 @@ runs each command inside one meter.  Outside a meter each charge stands
 alone, so a library call is bounded per search.
 
 Every cap can be overridden through an environment variable
-``EICOUNT_<NAME>`` holding an integer, e.g. ``EICOUNT_PATTERN_CAP=10``.
+``EICOUNT_<NAME>`` holding an integer, e.g. ``EICOUNT_ISO_CAP=10``.
 """
 
 import os
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 
 _DEFAULTS = {
-    # max vertex partitions the partition-sum oracle enumerates; Bell(8),
-    # so every pattern on at most 8 vertices passes
-    "PATTERN_CAP": 4140,
     # max edge subsets the odd edge-set enumeration tabulates, 2^ceil(m/2) +
     # 2^floor(m/2) for m edges (meet in the middle); 2^12 + 2^12 admits
     # every graph on at most 24 edges
@@ -90,3 +88,16 @@ def charge(name: str, amount: int, unit: str) -> None:
     limit = cap(name)
     if amount > limit:
         raise CapExceeded(f"{name}: {amount} {unit} exceed cap {limit}")
+
+
+def check_depth(frames: int, what: str) -> None:
+    """Raise :class:`CapExceeded` if ``frames`` more stack frames on top of
+    the caller's would pass the recursion limit; ``what`` names the search,
+    which then refuses its input instead of failing with RecursionError."""
+    limit = sys.getrecursionlimit()
+    depth, frame = frames, sys._getframe(1)
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    if depth > limit:
+        raise CapExceeded(f"{what} needs {depth} stack frames, past the "
+                          f"recursion limit {limit}")

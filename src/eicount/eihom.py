@@ -28,35 +28,20 @@ from .graphs import (Graph, bits, isolated_parts, minimum_vertex_cover,
                      quotient)
 
 
-class ReducedPattern:
-    """Pattern core after removing isolated vertices and isolated edges,
-    plus the data needed to restore the removed parts as a host-dependent
-    multiplier."""
+def reduce_isolated(h: Graph, g: Graph):
+    """Split off h's isolated vertices and isolated-edge components.
 
-    __slots__ = ("core", "iso_vertices", "removed_edges", "original_edge_count")
-
-    def __init__(self, core, iso_vertices, removed_edges, original_edge_count):
-        self.core = core
-        self.iso_vertices = iso_vertices
-        self.removed_edges = removed_edges
-        self.original_edge_count = original_edge_count
-
-    def multiplier(self, g: Graph) -> int:
-        """Host-dependent factor restoring the removed pieces:
-        |V(G)| per isolated vertex and 2(|E(G)| - |E(H)| + 1), or 0 where
-        that is negative, per isolated edge, with |E(H)| decreasing as edges
-        are peeled off."""
-        out = g.n ** self.iso_vertices
-        for j in range(self.removed_edges):
-            out *= 2 * max(0, g.m - (self.original_edge_count - j) + 1)
-        return out
-
-
-def reduce_isolated(h: Graph) -> ReducedPattern:
-    """Exhaustively remove isolated vertices and isolated-edge components."""
+    Returns (core, factor): EdgInj(h, G) is the factor times EdgInj(core,
+    G).  An isolated vertex adds a factor |V(G)|; the j-th isolated edge,
+    for j = 0, 1, ..., adds 2(|E(G)| - |E(core)| - j), clamped at 0, the
+    oriented host edges left once the core and the earlier isolated edges
+    have taken theirs."""
     isolated, pairs = isolated_parts(h)
-    return ReducedPattern(h.remove_vertices(isolated + pairs), len(isolated),
-                          len(pairs) // 2, h.m)
+    core = h.remove_vertices(isolated + pairs)
+    factor = g.n ** len(isolated)
+    for j in range(len(pairs) // 2):
+        factor *= 2 * max(0, g.m - core.m - j)
+    return core, factor
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +263,16 @@ def _place(f: Graph, g: Graph, cover, checks, i, image, free, cand, mults,
     return total
 
 
-def _independent_count(cand_sets, mults, memo=None) -> int:
+def _independent_count(cand_sets, mults, memo) -> int:
     """Count the injective maps that send mults[k] members of class k into
     the bitmask cand_sets[k], for every k.
 
     Host vertices are grouped into cells by which candidate sets hold them
     (vertices in none can take no member); the count depends only on the
-    cell profile, so ``memo``, when given, maps profiles already counted
-    for these ``mults`` to their counts.
+    cell profile, so ``memo`` maps profiles already counted for these
+    ``mults`` to their counts.
     """
     profile = _cell_profile(cand_sets)
-    if memo is None:
-        return _count_profile(profile, mults)
     out = memo.get(profile)
     if out is None:
         out = memo[profile] = _count_profile(profile, mults)
@@ -373,9 +356,7 @@ def count_edginj_poly(h: Graph, g: Graph, bound: int = COVER_BOUND) -> int:
     pattern past the bound raises :class:`CapExceeded`."""
     if bound < 0:
         raise ValueError(f"cover bound must be >= 0, got {bound}")
-    red = reduce_isolated(h)
-    mult = red.multiplier(g)
-    core = red.core
+    core, mult = reduce_isolated(h, g)
     if core.n == 0:
         return mult
     cover = minimum_vertex_cover(core, limit=bound)

@@ -93,8 +93,6 @@ class Polynomial:
             out[i] += c
         return Polynomial(out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Polynomial([-c for c in self.coeffs])
 
@@ -102,9 +100,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.const(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return Polynomial.const(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -115,15 +110,6 @@ class Polynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        x = _exact(x)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return _exact(acc)
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """self(inner(x)), exact."""
@@ -137,14 +123,9 @@ class Polynomial:
 
 
 def falling_factorial(x, t: int):
-    """(x)_t = x (x-1) ... (x-t+1) for a scalar or a Polynomial; (x)_0 = 1."""
+    """(x)_t = x (x-1) ... (x-t+1) for a scalar x; (x)_0 = 1."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if isinstance(x, Polynomial):
-        acc = Polynomial.const(1)
-        for i in range(t):
-            acc = acc * (x - i)
-        return acc
     x = _exact(x)
     acc = 1
     for i in range(t):
@@ -216,20 +197,14 @@ def solve_rational(matrix, rhs):
     return sol
 
 
-def sigma_expand(r: int, k: int):
-    """Expand (y - t)_{2(r-k)} in powers of y with polynomial-in-t
-    coefficients: returns [sigma_0, ..., sigma_{2(r-k)}] such that
-    (y - t)_{2(r-k)} = sum_i sigma_i(t) * y^{2(r-k)-i}.
-
-    sigma_i has degree i with leading coefficient (-1)^i * C(2(r-k), i).
-    """
-    if r < k or k < 0:
-        raise ValueError("need r >= k >= 0")
-    return list(_sigma_expand_cached(2 * (r - k)))
-
-
 @lru_cache(maxsize=None)
 def _sigma_expand_cached(d: int):
+    """Expand (y - t)_d in powers of y with polynomial-in-t coefficients:
+    returns (sigma_0, ..., sigma_d) such that
+    (y - t)_d = sum_i sigma_i(t) * y^{d-i}.
+
+    sigma_i has degree i with leading coefficient (-1)^i * C(d, i).
+    """
     # coefficients of y^j as polynomials in t, built by multiplying the
     # factors (y - (t + i)) for i = 0..d-1
     by_ypow = [Polynomial.const(1)]  # index = power of y
@@ -305,27 +280,6 @@ def recover_unknowns(k: int, polys):
     return solve_rational(vander, [moments[(k, i)] for i in range(k + 1)])
 
 
-@lru_cache(maxsize=None)
-def _shifted_falling(t: int, d: int) -> Polynomial:
-    return falling_factorial(Polynomial.x() - t, d)
-
-
-def plant_polynomials(a, max_r: int):
-    """Forward evaluation of the defining sum: given planted values
-    ``a[(t, b)]`` (absent pairs count as zero), produce P_0 .. P_{max_r}.
-    This is the independent oracle for :func:`recover_unknowns`."""
-    out = []
-    for r in range(max_r + 1):
-        p = Polynomial()
-        for j in range(r + 1):
-            for t in range(j + 1):
-                coef = a.get((t, j - t), 0)
-                if coef:
-                    p = p + coef * comb(r, j) * _shifted_falling(t, 2 * (r - j))
-        out.append(p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # GF(2)
 
@@ -376,7 +330,6 @@ def multinomial(n: int, parts) -> int:
 
 __all__ = [
     "Polynomial", "falling_factorial", "interpolate", "solve_rational",
-    "sigma_expand", "recover_unknowns", "required_inputs",
-    "plant_polynomials", "gf2_solution_count", "multinomial",
-    "exact_quotient",
+    "recover_unknowns", "required_inputs", "gf2_solution_count",
+    "multinomial", "exact_quotient",
 ]

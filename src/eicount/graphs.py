@@ -176,19 +176,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def all_partitions(items):
-    """Yield all set partitions of ``items`` (restricted-growth order)."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in all_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + [first]] + part[i + 1:]
-        yield [[first]] + part
-
-
 def quotient(h: Graph, blocks):
     """Merge each block into one vertex; None if the merge is not loop-free
     and edge-injective.
@@ -392,34 +379,27 @@ def line_graph(g: Graph) -> Graph:
     return Graph(len(es), out)
 
 
-def subdivide(g: Graph, t: int, color_policy=None) -> Graph:
+def subdivide(g: Graph, t: int) -> Graph:
     """Replace each edge by a path with ``t`` inner vertices (t+1 edges).
 
     Original vertices keep their ids; the inner vertices of the i-th edge
     (sorted order) occupy ``n + t*i .. n + t*i + t - 1``, ordered from the
-    smaller endpoint.  ``color_policy(e, j)`` must supply a color for the
-    j-th path edge (0-based from the smaller endpoint) when ``g`` is
-    colored; colors are never invented silently.
+    smaller endpoint.  A colored ``g`` raises ValueError: colors are never
+    invented silently.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     if t == 0:
         return g
-    if g.color is not None and color_policy is None:
-        raise ValueError("subdividing a colored graph needs a color policy")
+    if g.color is not None:
+        raise ValueError("subdividing a colored graph would invent colors")
     es = []
-    color = {} if color_policy is not None else None
     nxt = g.n
-    for i, e in enumerate(g.edges):
-        u, v = e
+    for u, v in g.edges:
         chain = [u] + list(range(nxt, nxt + t)) + [v]
         nxt += t
-        for j, pe in enumerate(zip(chain, chain[1:])):
-            pe = edge(*pe)
-            es.append(pe)
-            if color is not None:
-                color[pe] = color_policy(e, j)
-    return Graph(nxt, es, color=color)
+        es += zip(chain, chain[1:])
+    return Graph(nxt, es)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ from math import perm
 
 from ._backend import run_kernel
 from ._kernels_py import MODE_EDGINJ, MODE_EMB, MODE_HOM
-from .config import charge, left
-from .graphs import (Graph, all_partitions, bfs_layers, bits, isolated_parts,
-                     make_pattern, quotient)
+from .config import charge, check_depth, left
+from .graphs import Graph, bfs_layers, bits, isolated_parts, make_pattern
 
 
 # `eicount verify all` runs 194 searches over 23 distinct patterns, so the
@@ -252,36 +251,23 @@ def count_simple_cycles(g: Graph, k: int) -> int:
                           "cycle orbit size must divide exactly")
 
 
-def count_edginj_via_partition_sum(h: Graph, g: Graph) -> int:
-    """Edge-injective homomorphism count as the sum over edge-injective,
-    loop-free vertex partitions of the pattern of the embedding counts of
-    their quotients.  Independent cross-check for :func:`count_edginj`.
-    The partitions enumerated are charged to ``PATTERN_CAP``."""
-    budget = left("PATTERN_CAP")
-    total = tried = 0
-    for blocks in all_partitions(range(h.n)):
-        tried += 1
-        if tried > budget:  # past what the cap had left: raises
-            charge("PATTERN_CAP", tried, "partitions")
-        q = quotient(h, blocks)
-        if q is not None:
-            total += count_emb(q, g)
-    charge("PATTERN_CAP", tried, "partitions")
-    return total
-
-
 # ---------------------------------------------------------------------------
 # isomorphism
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Brute-force isomorphism search with degree pruning.  Its search
-    nodes, one per partial mapping extended, are charged to ``ISO_CAP``."""
+    nodes, one per partial mapping extended, are charged to ``ISO_CAP``;
+    graphs too large for one stack frame per vertex raise
+    :class:`CapExceeded`."""
     if g1.n != g2.n or g1.m != g2.m:
         return False
     deg1 = sorted(g1.degree(v) for v in range(g1.n))
     deg2 = sorted(g2.degree(v) for v in range(g2.n))
     if deg1 != deg2:
         return False
+    # extend nests a frame per vertex and one for the complete mapping,
+    # has_edge and the masks property two more; one frame is kept spare
+    check_depth(g1.n + 3, f"graphs on {g1.n} vertices: the isomorphism search")
     order = sorted(range(g1.n), key=lambda v: -g1.degree(v))
     mapping = [-1] * g1.n
     used = [False] * g2.n

@@ -13,12 +13,14 @@ from math import comb, factorial
 
 from eicount import eihom, holant, linegraphs, oracles, reductions
 from eicount.cli import main as cli_main
-from eicount.exact import (falling_factorial, plant_polynomials,
-                           recover_unknowns, required_inputs, sigma_expand)
+from eicount.exact import (_sigma_expand_cached, falling_factorial,
+                           recover_unknowns, required_inputs)
 from eicount.graphs import (Graph, line_graph, make_pattern,
-                            minimum_vertex_cover, parse_graph,
+                            minimum_vertex_cover, parse_graph, quotient,
                             serialize_graph, subdivide, vertex_cover_number)
-from test_eihom import class_of, count_edge_injective_partitions
+from reference import (all_partitions, count_edginj_via_partition_sum,
+                       plant_polynomials)
+from test_eihom import class_of, core_of, count_edge_injective_partitions
 
 SEED = 987654321
 
@@ -45,7 +47,7 @@ def test_criterion_1_oracle_sandwich_and_partition_sum():
         einj = oracles.count_edginj(h, g)
         hom = oracles.count_hom(h, g)
         assert emb <= einj <= hom
-        assert oracles.count_edginj_via_partition_sum(h, g) == einj
+        assert count_edginj_via_partition_sum(h, g) == einj
         pairs += 1
     _finish(1, t0, 60, f"{pairs} random pairs: Emb <= EdgInj <= Hom and "
             "partition-sum cross-check exact")
@@ -75,7 +77,7 @@ def test_criterion_3_class_bookkeeping():
     graphs += [rand_graph(rng, rng.randrange(2, 7), 0.45) for _ in range(25)]
     checked = 0
     for h in graphs:
-        core = eihom.reduce_isolated(h).core
+        core = core_of(h)
         if core.n == 0:
             continue
         cover = minimum_vertex_cover(core)
@@ -83,7 +85,6 @@ def test_criterion_3_class_bookkeeping():
         for blocks, alloc, size, rep_q in eihom.realized_classes(core, cover):
             total += size
             # the representative's quotient must represent its whole class
-            from eicount.graphs import all_partitions, quotient
             for partition in all_partitions(range(core.n)):
                 q = quotient(core, partition)
                 if q is not None and class_of(core, cover, partition) == (
@@ -167,7 +168,7 @@ def test_criterion_5_interpolation():
         assert got == [planted[(t, k - t)] for t in range(k + 1)]
         assert all(type(v) is int for v in got)
     for gap in range(0, 5):
-        sigs = sigma_expand(gap + 1, 1)
+        sigs = _sigma_expand_cached(2 * gap)
         for i, s in enumerate(sigs):
             assert s.coeff(i) == (-1) ** i * comb(2 * gap, i)
     _finish(5, t0, 30, "100 planted instances recovered exactly; "

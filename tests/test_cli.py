@@ -395,4 +395,4 @@ class TestImportFootprint:
             "from eicount import *\n"
             "print(len(eicount.__all__), count_edginj_poly.__module__)\n"))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["22", "eicount.eihom"]
+        assert proc.stdout.split() == ["21", "eicount.eihom"]

@@ -17,9 +17,6 @@ K4 = make_pattern("K", 4)
 
 # each cap, one small input, its answer and the work it charges
 CHARGES = {
-    # Bell(3) partitions of P_2's vertices
-    "PATTERN_CAP": (lambda: O.count_edginj_via_partition_sum(
-        make_pattern("P", 2), make_pattern("K", 3)), 6, 5),
     # K_4's 6 edges split 3 + 3: 2^3 + 2^3 subsets tabulated
     "EDGE_SUBSET_CAP": (lambda: O.count_odd_edge_sets_enum(K4), 8, 16),
     # 1 + 4 + 6 subsets of sizes 0..2, then {0, 1, 2}
@@ -56,14 +53,14 @@ def test_cap_passes_at_its_charge(monkeypatch, name):
 
 
 def test_meter_sums_the_charges_of_one_budget(monkeypatch):
-    monkeypatch.setenv("EICOUNT_PATTERN_CAP", "9")
-    charge("PATTERN_CAP", 5, "partitions")
-    charge("PATTERN_CAP", 5, "partitions")  # outside a meter: alone
+    monkeypatch.setenv("EICOUNT_ISO_CAP", "9")
+    charge("ISO_CAP", 5, "search nodes")
+    charge("ISO_CAP", 5, "search nodes")  # outside a meter: alone
     with meter():
-        charge("PATTERN_CAP", 5, "partitions")
-        with pytest.raises(CapExceeded, match="10 partitions exceed cap 9"):
-            charge("PATTERN_CAP", 5, "partitions")
-    charge("PATTERN_CAP", 5, "partitions")  # the meter closed with its block
+        charge("ISO_CAP", 5, "search nodes")
+        with pytest.raises(CapExceeded, match="10 search nodes exceed cap 9"):
+            charge("ISO_CAP", 5, "search nodes")
+    charge("ISO_CAP", 5, "search nodes")  # the meter closed with its block
 
 
 def test_pipeline_searches_share_one_budget(monkeypatch):

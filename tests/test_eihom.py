@@ -13,9 +13,9 @@ from eicount.eihom import (build_representative, class_size,
                            count_edginj_poly, count_emb_small_vc,
                            enumerate_classes, free_colors, realized_classes,
                            reduce_isolated)
-from eicount.graphs import (Graph, all_partitions, bits, make_pattern,
-                            minimum_vertex_cover, quotient,
-                            vertex_cover_number)
+from eicount.graphs import (Graph, bits, make_pattern, minimum_vertex_cover,
+                            quotient, vertex_cover_number)
+from reference import all_partitions
 
 K3 = make_pattern("K", 3)
 K4 = make_pattern("K", 4)
@@ -24,6 +24,11 @@ K4 = make_pattern("K", 4)
 def rand_graph(rng, n, p=0.45):
     return Graph(n, [e for e in itertools.combinations(range(n), 2)
                      if rng.random() < p])
+
+
+def core_of(h):
+    """h without its isolated vertices and isolated-edge components."""
+    return reduce_isolated(h, K4)[0]
 
 
 def count_edge_injective_partitions(h):
@@ -66,42 +71,40 @@ def seeded_host():
 
 class TestReduceIsolated:
     def test_single_vertex(self):
-        r = reduce_isolated(Graph(1, []))
-        assert r.core.n == 0 and r.iso_vertices == 1
-        assert r.multiplier(K4) == 4
+        core, factor = reduce_isolated(Graph(1, []), K4)
+        assert core.n == 0 and factor == 4
 
     def test_single_edge(self):
-        r = reduce_isolated(make_pattern("K", 2))
-        assert r.core.n == 0 and r.removed_edges == 1
-        assert r.multiplier(K4) == 2 * K4.m
+        core, factor = reduce_isolated(make_pattern("K", 2), K4)
+        assert core.n == 0 and factor == 2 * K4.m
 
     def test_two_edges_vs_oracle(self):
         h = make_pattern("kK2", 2)
-        r = reduce_isolated(h)
         rng = random.Random(0)
         for _ in range(8):
             g = rand_graph(rng, rng.randrange(2, 7), 0.6)
-            assert r.multiplier(g) == O.count_edginj(h, g)
+            assert reduce_isolated(h, g) == (Graph(0, []), O.count_edginj(h, g))
 
     def test_small_host_zero(self):
         h = make_pattern("kK2", 3)
-        assert reduce_isolated(h).multiplier(make_pattern("K", 2)) == 0
+        assert reduce_isolated(h, make_pattern("K", 2))[1] == 0
 
     def test_host_with_fewer_edges_than_the_core(self):
         # a triangle and two isolated edges: every factor of a host with
         # fewer than 5 edges is clamped at 0, never multiplied out of sign
         h = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)])
-        r = reduce_isolated(h)
         rng = random.Random(9)
         hosts = [make_pattern("K", 2), make_pattern("P", 2)]
         hosts += [rand_graph(rng, rng.randrange(2, 6), 0.4) for _ in range(8)]
         for g in hosts:
-            if g.m < r.core.m:
-                assert r.multiplier(g) == O.count_edginj(h, g) == 0
+            core, factor = reduce_isolated(h, g)
+            assert core == K3
+            if g.m < core.m:
+                assert factor == O.count_edginj(h, g) == 0
 
     def test_wedge_untouched(self):
-        r = reduce_isolated(make_pattern("P", 2))
-        assert r.core.n == 3 and r.iso_vertices == 0 and r.removed_edges == 0
+        wedge = make_pattern("P", 2)
+        assert reduce_isolated(wedge, K4) == (wedge, 1)
 
 
 class TestColors:
@@ -143,7 +146,7 @@ class TestClasses:
                  make_pattern("kP2", 2), K3, make_pattern("C", 4)]
         cases += [rand_graph(rng, rng.randrange(2, 7)) for _ in range(20)]
         for h in cases:
-            core = reduce_isolated(h).core
+            core = core_of(h)
             if core.n == 0:
                 continue
             cover = minimum_vertex_cover(core)
@@ -154,7 +157,7 @@ class TestClasses:
         rng = random.Random(2)
         for _ in range(10):
             h = rand_graph(rng, 6)
-            core = reduce_isolated(h).core
+            core = core_of(h)
             if core.n == 0:
                 continue
             cover = minimum_vertex_cover(core)
@@ -174,7 +177,7 @@ class TestClasses:
         rng = random.Random(3)
         for _ in range(12):
             h = rand_graph(rng, rng.randrange(3, 7))
-            core = reduce_isolated(h).core
+            core = core_of(h)
             if core.n:
                 yield core
 
@@ -201,13 +204,12 @@ class TestClasses:
                  make_pattern("kP2", 3), make_pattern("W", 2),
                  make_pattern("Kab", 2, 3)]
         while len(cores) < 40:
-            core = reduce_isolated(rand_graph(rng, rng.randrange(3, 8),
-                                              rng.choice((0.3, 0.45)))).core
+            core = core_of(rand_graph(rng, rng.randrange(3, 8),
+                                      rng.choice((0.3, 0.45))))
             if core.n and len(minimum_vertex_cover(core)) <= 3:
                 cores.append(core)
         while len(cores) < 52:
-            core = reduce_isolated(rand_graph(rng, rng.randrange(5, 9),
-                                              0.45)).core
+            core = core_of(rand_graph(rng, rng.randrange(5, 9), 0.45))
             if core.n and len(minimum_vertex_cover(core)) == 4:
                 cores.append(core)
         for core in cores:
@@ -228,7 +230,7 @@ class TestClasses:
         calls = []
         monkeypatch.setattr(eihom, "quotient",
                             lambda *args: calls.append(1) or quotient(*args))
-        core = reduce_isolated(pattern).core
+        core = core_of(pattern)
         cover = minimum_vertex_cover(core)
         assert sum(1 for _ in enumerate_classes(core, cover)) == candidates
         assert not calls
@@ -350,7 +352,7 @@ class TestIndependentCount:
         ([], [], 5, 1)])                    # no classes
     def test_cases(self, cand_sets, mults, n, answer):
         assert brute_independent_count(cand_sets, mults, n) == answer
-        assert eihom._independent_count(cand_sets, mults) == answer
+        assert eihom._independent_count(cand_sets, mults, {}) == answer
 
     def test_random_masks_against_brute_force(self):
         rng = random.Random(12)
@@ -359,7 +361,7 @@ class TestIndependentCount:
             k = rng.randrange(0, 4)
             cand_sets = [rng.getrandbits(n) for _ in range(k)]
             mults = [rng.randrange(1, 4) for _ in range(k)]
-            assert eihom._independent_count(cand_sets, mults) == \
+            assert eihom._independent_count(cand_sets, mults, {}) == \
                 brute_independent_count(cand_sets, mults, n)
 
     @staticmethod

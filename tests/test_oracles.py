@@ -12,6 +12,7 @@ from eicount import oracles as O
 from eicount.config import CapExceeded
 from eicount.graphs import Graph, line_graph, make_pattern
 from eicount.linegraphs import replace_matching_with_collars, triangle_expand
+from reference import count_edginj_via_partition_sum
 
 K2 = make_pattern("K", 2)
 K3 = make_pattern("K", 3)
@@ -152,6 +153,137 @@ def test_every_import_is_read():
         unread = [f"{path.name}:{line} {name}"
                   for name, line in imported.items() if name not in read]
         assert not unread, f"imported but never read: {unread}"
+
+
+# module-level functions and classes of the package that no route reaches,
+# each with the reason it stays
+UNREACHED_BY_DESIGN = {
+    "__init__.__getattr__": "PEP 562 hook: Python calls it to resolve a "
+                            "public name or submodule on first use",
+    "__init__.__dir__": "PEP 562 hook: Python calls it for dir(eicount)",
+}
+
+
+def _bindings(tree, member):
+    """What the imports from the package in ``tree`` bind, local name ->
+    ("module", m) or ("name", m, attr); ``member(m, attr)`` resolves an
+    attribute of module m."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                head, _, sub = a.name.partition(".")
+                if head != "eicount":
+                    continue
+                if a.asname:
+                    out[a.asname] = ("module", sub or "__init__")
+                else:  # "import eicount.cli" binds the package
+                    out[head] = ("module", "__init__")
+        elif isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            if node.level:
+                base = mod or "__init__"
+            elif mod.partition(".")[0] == "eicount":
+                base = mod.partition(".")[2] or "__init__"
+            else:
+                continue
+            for a in node.names:
+                out[a.asname or a.name] = member(base, a.name)
+    return out
+
+
+def _reads(node, mod, defs, binds, member):
+    """The (module, name) pairs of package definitions that the code under
+    ``node``, in module ``mod`` (None outside the package), reads."""
+    def resolve(expr):
+        if isinstance(expr, ast.Name):
+            if expr.id in defs.get(mod, ()):
+                return ("name", mod, expr.id)
+            return binds.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            base = resolve(expr.value)
+            if base and base[0] == "module":
+                return member(base[1], expr.attr)
+        return None
+
+    out = set()
+    for n in ast.walk(node):
+        target = resolve(n)
+        if target and target[0] == "name":
+            out.add(target[1:])
+        # the kernels are called by name through _backend.run_kernel
+        if (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "run_kernel"
+                and n.args and isinstance(n.args[0], ast.Constant)):
+            out.add(("_kernels_py", n.args[0].value))
+    return out
+
+
+def test_every_definition_is_reached():
+    # src holds only what a route reaches: following the names that each
+    # reached definition reads (module-level tables too) from the CLI entry
+    # point, cli.ROUTES, verify.SUITES and every name the benchmark reads
+    # reaches each module-level function and class of the package.  A
+    # public name of _EXPORTS gets no pass of its own: a route must use it.
+    src = Path(O.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    exports = {}
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.Assign) and getattr(
+                node.targets[0], "id", None) == "_EXPORTS":
+            for home, names in ast.literal_eval(node.value).items():
+                exports.update(dict.fromkeys(names, home))
+
+    def member(mod, attr):
+        # the package resolves a public name in its home module (PEP 562)
+        if mod == "__init__" and attr in exports:
+            return ("name", exports[attr], attr)
+        if mod == "__init__" and attr in trees:
+            return ("module", attr)
+        return ("name", mod, attr)
+
+    defs = {}  # module -> top-level name -> the statement defining it
+    binds = {}
+    roots = {("cli", "main"), ("cli", "ROUTES"), ("verify", "SUITES")}
+    for mod, tree in trees.items():
+        binds[mod] = _bindings(tree, member)
+        defs[mod] = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[mod][node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for target in targets:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Name):
+                            defs[mod][n.id] = node
+    for mod, tree in trees.items():  # code that runs on import
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Assign,
+                                     ast.AnnAssign, ast.Import, ast.ImportFrom)):
+                roots |= _reads(node, mod, defs, binds[mod], member)
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        roots |= _reads(tree, None, defs, _bindings(tree, member), member)
+        for node in tree.body:  # the tracer's spans, named by strings
+            if isinstance(node, ast.Assign) and getattr(
+                    node.targets[0], "id", None) == "TRACED":
+                roots |= {tuple(dotted.split(".")[:2]) for dotted, _ in
+                          ast.literal_eval(node.value)}
+    reached, todo = set(), list(roots)
+    while todo:
+        mod, name = todo.pop()
+        if (mod, name) not in reached and name in defs.get(mod, ()):
+            reached.add((mod, name))
+            todo += _reads(defs[mod][name], mod, defs, binds[mod], member)
+    unreached = sorted(f"{mod}.{name}" for mod, names in defs.items()
+                       for name, node in names.items()
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and (mod, name) not in reached)
+    stray = [name for name in unreached if name not in UNREACHED_BY_DESIGN]
+    assert not stray, f"reached by no route: {stray}"
+    assert unreached == sorted(UNREACHED_BY_DESIGN)
 
 
 class TestWeighted:
@@ -393,15 +525,15 @@ class TestDerived:
         assert O.count_edge_disjoint(K3, 2, "path") == 3
 
     def test_partition_sum_examples(self):
-        assert O.count_edginj_via_partition_sum(K2, K4) == 2 * K4.m
-        assert O.count_edginj_via_partition_sum(P2, K3) == 6
+        assert count_edginj_via_partition_sum(K2, K4) == 2 * K4.m
+        assert count_edginj_via_partition_sum(P2, K3) == 6
 
     def test_partition_sum_random(self):
         rng = random.Random(6)
         for _ in range(25):
             h = rand_graph(rng, rng.randrange(1, 6))
             g = rand_graph(rng, rng.randrange(1, 7))
-            assert O.count_edginj_via_partition_sum(h, g) == O.count_edginj(h, g)
+            assert count_edginj_via_partition_sum(h, g) == O.count_edginj(h, g)
 
 
 class TestIsomorphism:
@@ -415,3 +547,9 @@ class TestIsomorphism:
         for ell in (1, 2, 3):
             assert O.is_isomorphic(line_graph(make_pattern("barbed", ell)),
                                    make_pattern("collar", ell))
+
+    def test_deep_graphs_are_refused(self):
+        # one frame per vertex: C_1200 needs more than the default limit 1000
+        c = make_pattern("C", 1200)
+        with pytest.raises(CapExceeded, match="past the recursion limit"):
+            O.is_isomorphic(c, c)
