@@ -7,7 +7,7 @@ hosts of any size work.
 
 from __future__ import annotations
 
-from .config import charge, check_depth, left
+from .config import charge, left
 from .graphs import bfs_layers
 
 MODE_HOM = 0
@@ -66,8 +66,7 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None,
     The candidate images tried, summed over the search nodes, are charged
     to ``SEARCH_VOLUME_CAP``: the search counts them down from what the cap
     has left and charges them once, on return or when they run out, which
-    raises :class:`CapExceeded`.  It also raises when one frame per position
-    would pass the recursion limit.  A node is charged its candidates after
+    raises :class:`CapExceeded`.  A node is charged its candidates after
     the adjacency, injectivity, root and distance filters and before the
     edge-injective one, so the mask filter and the counted leaves charge
     what testing each candidate in turn would.
@@ -79,18 +78,14 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None,
                          "connected order with parents[1] == (0,)")
     if npos == 0:
         return 1
-    # rec nests a frame per position on this stack, the ball walk two more
-    # (_balls and the bfs_layers generator); one frame is kept spare
-    check_depth(npos + 3, f"pattern on {npos} vertices: the map search")
     budget = volume = left("SEARCH_VOLUME_CAP")
     full = (1 << n) - 1
     radius = [0] * npos
     for p, a in enumerate(anchor):
         if a >= 0:
             radius[a] = max(radius[a], anchor_dist[p])
-    # per position: its parents, anchor and anchor distance, and the radius
-    # of the balls it builds
-    steps = list(zip(parents, anchor, anchor_dist, radius))
+    # per position: its parents, anchor and anchor distance
+    steps = list(zip(parents, anchor, anchor_dist))
     balls = [None] * npos  # balls[a][d]: host vertices within d of img[a]
     img = [0] * npos
     used = [0] * n  # used[u] bit v set <=> host edge {u,v} already an image
@@ -100,12 +95,17 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None,
     emb = mode == MODE_EMB
     edginj = mode == MODE_EDGINJ
     last = npos - 1
-
-    def rec(pos, acc, taken):
-        # acc: weight product of the edges placed so far (1 unweighted);
-        # taken: bitmask of the images placed so far (read under MODE_EMB)
-        nonlocal budget
-        ps, a, dist, r = steps[pos]
+    # frames[p], for each position p placed on the way to the node being
+    # visited: its candidates not yet tried, its parent images and their
+    # bitmask, its acc and taken, and the bit of img[p]
+    frames = []
+    total = 0
+    pos, acc, taken = 0, 1, 0
+    while True:
+        # visit the node placing position pos.  acc: weight product of the
+        # edges placed so far (1 unweighted); taken: bitmask of the images
+        # placed so far (read under MODE_EMB)
+        ps, a, dist = steps[pos]
         # one parent is the common case; taking it apart from the list of
         # parent images cuts count_maps' time over the calls of `eicount
         # verify all` by 13-17% (Python 3.11)
@@ -137,17 +137,19 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None,
         budget -= cand.bit_count()
         if budget < 0:  # past what the cap had left, so the charge raises
             charge("SEARCH_VOLUME_CAP", volume - budget, "images")
+        pmask = 0
         if edginj:
-            pmask = 0
             for u in us:
-                if pmask >> u & 1:
-                    return 0
+                if pmask >> u & 1:  # two parents share an image: counts 0
+                    cand = 0
+                    break
                 pmask |= 1 << u
                 cand &= ~used[u]
-        if pos == last:
-            if weights is None:
-                return cand.bit_count()
-            total = 0
+        if pos < last:
+            frames.append([cand, us, pmask, acc, taken, 0])
+        elif weights is None:
+            total += cand.bit_count()
+        else:
             while cand:
                 low = cand & -cand
                 w = low.bit_length() - 1
@@ -156,33 +158,41 @@ def count_maps(n, adj, mode, parents, anchor, anchor_dist, weights=None,
                 for u in us:
                     wgt *= weights[u][w]
                 total += wgt
-            return total
-        total = 0
-        while cand:
-            low = cand & -cand
-            w = low.bit_length() - 1
-            cand ^= low
-            wgt = acc
-            if weights is not None:
+        # place the next candidate of the deepest position that has one
+        while frames:
+            frame = frames[-1]
+            cand, us, pmask, acc, taken, low = frame
+            pos = len(frames) - 1
+            if edginj and low:  # take back the edges of the last candidate
                 for u in us:
-                    wgt *= weights[u][w]
-                if not wgt:
-                    continue
-            if r:
-                balls[pos] = _balls(adj, w, r)
+                    used[u] ^= low
+                used[img[pos]] ^= pmask
+            while cand:
+                low = cand & -cand
+                w = low.bit_length() - 1
+                cand ^= low
+                wgt = acc
+                if weights is not None:
+                    for u in us:
+                        wgt *= weights[u][w]
+                    if not wgt:
+                        continue
+                break
+            else:
+                frames.pop()
+                continue
+            frame[0], frame[5] = cand, low
+            if radius[pos]:
+                balls[pos] = _balls(adj, w, radius[pos])
             img[pos] = w
             if edginj:
                 for u in us:
                     used[u] |= low
                 used[w] |= pmask
-            total += rec(pos + 1, wgt, taken | low)
-            if edginj:
-                for u in us:
-                    used[u] ^= low
-                used[w] ^= pmask
-        return total
-
-    total = rec(0, 1, 0)
+            pos, acc, taken = pos + 1, wgt, taken | low
+            break
+        else:
+            break
     charge("SEARCH_VOLUME_CAP", volume - budget, "images")
     return total
 

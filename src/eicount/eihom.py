@@ -85,28 +85,32 @@ def _allocations(betas, i, remaining, alloc):
             alloc + ((beta, mult),) if mult else alloc)
 
 
-def _subpartitions(masks, order, ncover, i, blocks, reach):
+def _subpartitions(masks, order, ncover):
     """Yield, as block bitmasks, each cover sub-partition that places
-    order[i:] (the cover, then the other vertices) after ``blocks`` with no
-    loop and no edge collision; reach[j] is the OR of block j's masks.  A
-    cover vertex joins a block or opens one; any other joins or stays free."""
-    if i == ncover and any((masks[v] & b).bit_count() > 1
-                           for v in order[i:] for b in blocks):
-        return  # a free vertex with two edges into one block
-    if i == len(order):
-        yield blocks
-        return
-    v, nb = order[i], masks[order[i]]
-    if i >= ncover:
-        yield from _subpartitions(masks, order, ncover, i + 1, blocks, reach)
-    opened = (0,) if i < ncover else ()  # a cover vertex may open a block
-    for j, (b, r) in enumerate(zip(blocks + opened, reach + opened)):
-        if nb & b or any(nb & c and (r & c or (nb & c).bit_count() > 1)
-                         for c in blocks):
+    ``order`` (the cover, then the other vertices) with no loop and no edge
+    collision.  A cover vertex joins a block or opens one; any other joins
+    or stays free.  The search keeps its own stack of (number of vertices
+    placed, blocks, reach), where reach[j] is the OR of block j's masks."""
+    stack = [(0, (), ())]
+    while stack:
+        i, blocks, reach = stack.pop()
+        if i == ncover and any((masks[v] & b).bit_count() > 1
+                               for v in order[i:] for b in blocks):
+            continue  # a free vertex with two edges into one block
+        if i == len(order):
+            yield blocks
             continue
-        yield from _subpartitions(masks, order, ncover, i + 1,
-                                  blocks[:j] + (b | 1 << v,) + blocks[j + 1:],
-                                  reach[:j] + (r | nb,) + reach[j + 1:])
+        v, nb = order[i], masks[order[i]]
+        children = [(i + 1, blocks, reach)] if i >= ncover else []
+        opened = (0,) if i < ncover else ()  # a cover vertex may open a block
+        for j, (b, r) in enumerate(zip(blocks + opened, reach + opened)):
+            if nb & b or any(nb & c and (r & c or (nb & c).bit_count() > 1)
+                             for c in blocks):
+                continue
+            children.append((i + 1,
+                             blocks[:j] + (b | 1 << v,) + blocks[j + 1:],
+                             reach[:j] + (r | nb,) + reach[j + 1:]))
+        stack += reversed(children)  # popped in the order listed
 
 
 def enumerate_classes(h: Graph, cover):
@@ -135,7 +139,7 @@ def enumerate_classes(h: Graph, cover):
     if any(not h.masks[v] or h.masks[v] & ~inside for v in order[len(cover):]):
         raise ValueError("the given set is not a vertex cover, or a vertex "
                          "outside it is isolated")
-    for found in _subpartitions(h.masks, order, len(cover), 0, (), ()):
+    for found in _subpartitions(h.masks, order, len(cover)):
         blocks = tuple(sorted(found, key=lambda b: b & -b))
         counts = Counter(free_colors(h, blocks).values())
         betas = list(_betas(sorted(counts)))

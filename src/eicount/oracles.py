@@ -14,7 +14,7 @@ from math import perm
 
 from ._backend import run_kernel
 from ._kernels_py import MODE_EDGINJ, MODE_EMB, MODE_HOM
-from .config import charge, check_depth, left
+from .config import charge, left
 from .graphs import Graph, bfs_layers, bits, isolated_parts, make_pattern
 
 
@@ -138,11 +138,49 @@ def count_edginj_weighted(h: Graph, g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # matchings
 
+def _matchings(edges, k=None, classes=None):
+    """Yield (size, bitmask of the covered vertices) for each matching the
+    search reaches: with ``k``, each k-edge matching, taking one edge from
+    each of ``classes`` in turn when given; without ``k``, every matching,
+    the empty one too.
+
+    The search keeps its own stack.  The edges each node tries, summed over
+    the nodes, are charged to ``SEARCH_VOLUME_CAP``: the search counts them
+    down from what the cap has left and charges them once, when it ends or
+    when they run out, which raises :class:`CapExceeded`."""
+    edges = [1 << u | 1 << v for u, v in edges]  # the bitmasks of the ends
+    if classes is not None:
+        classes = [[1 << u | 1 << v for u, v in c] for c in classes]
+    budget = volume = left("SEARCH_VOLUME_CAP")
+    stack = [(0, 0, 0)]  # (size, first edge it may add, covered vertices)
+    while stack:
+        size, start, used = stack.pop()
+        if k is None or size == k:
+            yield size, used
+        if size == k:
+            continue
+        if classes is not None:
+            pool, start, stop = classes[size], 0, len(classes[size])
+        else:  # leave room for the k - size edges still to add
+            pool = edges
+            stop = len(edges) if k is None else len(edges) - (k - size) + 1
+        tried = range(start, stop)
+        budget -= len(tried)
+        if budget < 0:  # past what the cap had left, so the charge raises
+            charge("SEARCH_VOLUME_CAP", volume - budget, "edges")
+        for i in reversed(tried):  # popped in increasing order
+            if not used & pool[i]:
+                stack.append((size + 1, i + 1, used | pool[i]))
+    charge("SEARCH_VOLUME_CAP", volume - budget, "edges")
+
+
 def count_matchings(g: Graph, k: int, colorful: bool = False) -> int:
     """Number of k-edge matchings; with ``colorful``, matchings picking
-    exactly one edge from each of the k color classes."""
+    exactly one edge from each of the k color classes.  The edges the
+    search tries are charged to ``SEARCH_VOLUME_CAP``."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    classes = None
     if colorful:
         if g.color is None:
             raise ValueError("colorful matchings need an edge-colored host")
@@ -150,33 +188,7 @@ def count_matchings(g: Graph, k: int, colorful: bool = False) -> int:
             raise ValueError(f"host declares {g.k} colors, asked for {k}")
         classes = [g.color_classes()[c] for c in range(1, g.k + 1)]
         classes.sort(key=len)
-
-        def rec_col(i, used):
-            if i == len(classes):
-                return 1
-            total = 0
-            for u, v in classes[i]:
-                if used & (1 << u) or used & (1 << v):
-                    continue
-                total += rec_col(i + 1, used | (1 << u) | (1 << v))
-            return total
-
-        return rec_col(0, 0)
-
-    edges = g.edges
-
-    def rec(start, rem, used):
-        if rem == 0:
-            return 1
-        total = 0
-        for i in range(start, len(edges) - rem + 1):
-            u, v = edges[i]
-            if used & (1 << u) or used & (1 << v):
-                continue
-            total += rec(i + 1, rem - 1, used | (1 << u) | (1 << v))
-        return total
-
-    return rec(0, k, 0)
+    return sum(1 for _ in _matchings(g.edges, k, classes))
 
 
 def matchings_profile(g: Graph, special=()):
@@ -184,23 +196,15 @@ def matchings_profile(g: Graph, special=()):
 
     Returns a dict (size, covered) -> count; the empty matching is included.
     Used by the wedge pipeline to factor out interchangeable pendant edges.
+    The edges the search tries are charged to ``SEARCH_VOLUME_CAP``.
     """
     smask = 0
     for v in special:
         smask |= 1 << v
-    edges = g.edges
     out = {}
-
-    def rec(start, size, used):
+    for size, used in _matchings(g.edges):
         key = (size, (used & smask).bit_count())
         out[key] = out.get(key, 0) + 1
-        for i in range(start, len(edges)):
-            u, v = edges[i]
-            if used & (1 << u) or used & (1 << v):
-                continue
-            rec(i + 1, size + 1, used | (1 << u) | (1 << v))
-
-    rec(0, 0, 0)
     return out
 
 
@@ -256,49 +260,49 @@ def count_simple_cycles(g: Graph, k: int) -> int:
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Brute-force isomorphism search with degree pruning.  Its search
-    nodes, one per partial mapping extended, are charged to ``ISO_CAP``;
-    graphs too large for one stack frame per vertex raise
-    :class:`CapExceeded`."""
+    nodes, one per partial mapping extended, are charged to ``ISO_CAP``.
+
+    The vertices of g1 are mapped in order of decreasing degree.  The
+    candidates for the next one, v, are the unused vertices of g2 of its
+    degree that are adjacent to the images of v's mapped neighbours and to
+    no other image, tried in increasing order."""
     if g1.n != g2.n or g1.m != g2.m:
         return False
     deg1 = sorted(g1.degree(v) for v in range(g1.n))
     deg2 = sorted(g2.degree(v) for v in range(g2.n))
     if deg1 != deg2:
         return False
-    # extend nests a frame per vertex and one for the complete mapping,
-    # has_edge and the masks property two more; one frame is kept spare
-    check_depth(g1.n + 3, f"graphs on {g1.n} vertices: the isomorphism search")
     order = sorted(range(g1.n), key=lambda v: -g1.degree(v))
+    masks1, masks2 = g1.masks, g2.masks
+    of_degree = {}  # degree -> bitmask of the g2 vertices that have it
+    for w in range(g2.n):
+        of_degree[g2.degree(w)] = of_degree.get(g2.degree(w), 0) | 1 << w
     mapping = [-1] * g1.n
-    used = [False] * g2.n
     budget = left("ISO_CAP")
     nodes = 0
-
-    def extend(i):
-        nonlocal nodes
+    # one entry per node: how many vertices of order are mapped, the
+    # bitmasks of those and of their images, and the image of the last one;
+    # mapping holds the images of the node's ancestors when it is popped
+    stack = [(0, 0, 0, -1)]
+    while stack:
+        i, placed, image, w = stack.pop()
         nodes += 1
         if nodes > budget:  # past what the cap had left: raises
             charge("ISO_CAP", nodes, "search nodes")
+        if i:
+            mapping[order[i - 1]] = w
         if i == len(order):
-            return True
+            break
         v = order[i]
-        for w in range(g2.n):
-            if used[w] or g1.degree(v) != g2.degree(w):
-                continue
-            ok = True
-            for u in range(g1.n):
-                if mapping[u] >= 0 and g1.has_edge(v, u) != g2.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    found = extend(0)
+        nbrs = masks1[v] & placed
+        need = nbrs.bit_count()
+        cand = of_degree[g1.degree(v)] & ~image
+        for u in bits(nbrs):
+            cand &= masks2[mapping[u]]
+        while cand:  # pushed from the top, so popped in increasing order
+            w = cand.bit_length() - 1
+            cand ^= 1 << w
+            if (masks2[w] & image).bit_count() == need:
+                stack.append((i + 1, placed | 1 << v, image | 1 << w, w))
     charge("ISO_CAP", nodes, "search nodes")
-    return found
+    return i == len(order)  # the search stopped at a complete mapping

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -150,9 +151,32 @@ class TestCount:
         ("edginj", "builtin:C,1200", "builtin:C,1200")])
     def test_pattern_past_the_recursion_limit(self, capsys, quantity,
                                               pattern, host):
-        code, out, err = run_cli(capsys, "count", quantity,
-                                 "--pattern", pattern, "--host", host)
-        assert code == 3 and out == "" and "recursion limit" in err
+        # the map search keeps its own stack, one entry per pattern vertex
+        code, out, _ = run_cli(capsys, "count", quantity,
+                               "--pattern", pattern, "--host", host)
+        want = {"hom": "10\n", "edginj": "2400\n"}[quantity]
+        assert (code, out) == (0, want)
+
+    def test_matching_past_the_recursion_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "matchings",
+                               "--host", "builtin:kK2,1100", "--k", "1100")
+        assert (code, out) == (0, "1\n")
+
+    def test_star_past_the_recursion_limit(self, capsys):
+        # weak cover number 1: one cover sub-partition, found by a search
+        # that places all 1,201 vertices
+        code, out, _ = run_cli(capsys, "count", "edginj", "--algo", "poly",
+                               "--pattern", "builtin:Kab,1,1200",
+                               "--host", "builtin:Kab,1,1200")
+        assert (code, out) == (0, f"{factorial(1200)}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("--host", "builtin:K,30", "--k", "5"),
+        ("--host", "builtin:P,2400", "--k", "1", "--algo", "pipeline:wedges")])
+    def test_matching_enumeration_is_charged(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "1000")
+        code, out, err = run_cli(capsys, "count", "matchings", *argv)
+        assert (code, out) == (3, "") and "SEARCH_VOLUME_CAP" in err
 
     @pytest.mark.parametrize("bound,code,want", [("2", 3, ""), ("4", 0, "720\n")])
     def test_bound_reaches_emb_poly(self, capsys, bound, code, want):

@@ -286,6 +286,58 @@ def test_every_definition_is_reached():
     assert unreached == sorted(UNREACHED_BY_DESIGN)
 
 
+# functions of the package that call themselves, each with what bounds
+# its depth; every other search keeps its own stack, so no input passes
+# Python's recursion limit there
+RECURSIVE_BY_DESIGN = {
+    "eihom._place": "one level per cover vertex of the pattern: at most "
+                    "--bound",
+    "eihom._betas": "one level per color of a beta; its colors are disjoint "
+                    "sets of the at most --bound cover blocks",
+    "eihom._allocations": "one level per beta, a tuple of disjoint sets of "
+                          "the at most --bound cover blocks",
+    "eihom._fill": "one level per (class, cell) slot; classes are sets of "
+                   "the at most --bound cover vertices, cells sets of classes",
+    "reductions.wedge_classification.rec": "one level per wedge; only "
+                                           "verify suites reach it, on fixed "
+                                           "inputs",
+    "reductions.gadget_walks.rec": "one level per edge of a walk; only "
+                                   "verify suites reach it, on fixed gadgets",
+    "reductions.longest_edge_disjoint_cycle.rec": "one level per edge of a "
+                                                  "walk; only verify suites "
+                                                  "reach it, on fixed gadgets",
+}
+
+
+def _self_calling(node, scope):
+    """The qualified names of the functions under ``node``, nested ones and
+    methods too, that call themselves by name."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{scope}.{child.name}"
+            if isinstance(child, ast.FunctionDef) and any(
+                    isinstance(n, ast.Call) and child.name in (
+                        getattr(n.func, "id", None),
+                        getattr(n.func, "attr", None))
+                    for n in ast.walk(child)):
+                out.append(name)
+            out += _self_calling(child, name)
+        else:  # nested defs inside if, for, with and try blocks too
+            out += _self_calling(child, scope)
+    return out
+
+
+def test_no_search_recurses_on_its_input():
+    src = Path(O.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        found += _self_calling(ast.parse(path.read_text()), path.stem)
+    stray = [name for name in found if name not in RECURSIVE_BY_DESIGN]
+    assert not stray, f"recursive, with no stack of their own: {stray}"
+    assert sorted(found) == sorted(RECURSIVE_BY_DESIGN)
+
+
 class TestWeighted:
     def test_all_ones_match_unweighted(self):
         rng = random.Random(3)
@@ -307,6 +359,10 @@ class TestWeighted:
     def test_missing_weights(self):
         with pytest.raises(ValueError):
             O.count_edginj_weighted(K2, K4)
+
+
+C4_TWO_COLORS = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], k=2,
+                      color={(0, 1): 1, (1, 2): 1, (2, 3): 2, (0, 3): 2})
 
 
 class TestMatchings:
@@ -349,6 +405,26 @@ class TestMatchings:
                     keep = [e for e in edges if color[e] in sub]
                     got += (-1) ** (k - r) * O.count_matchings(Graph(n, keep), k)
             assert got == want
+
+    @pytest.mark.parametrize("run,want,charge", [
+        # C_4's edges (0,1), (0,3), (1,2), (2,3) at k = 2: the root tries the
+        # first 3 (the last leaves no room for a second), and the first 3
+        # then try the 3, 2 and 1 edges after them
+        (lambda: O.count_matchings(make_pattern("C", 4), 2), 2, 9),
+        # each color class holds 2 edges: the root and both its children
+        # try 2
+        (lambda: O.count_matchings(C4_TWO_COLORS, 2, colorful=True), 2, 6),
+        # every matching tries the edges after its last one: 4 for the empty
+        # one, 3 + 2 + 1 + 0 for the single edges and 0 + 1 for the pairs
+        (lambda: O.matchings_profile(make_pattern("C", 4), [0]),
+         {(0, 0): 1, (1, 1): 2, (1, 0): 2, (2, 1): 2}, 11),
+    ])
+    def test_edges_tried_are_charged(self, monkeypatch, run, want, charge):
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", str(charge))
+        assert run() == want
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", str(charge - 1))
+        with pytest.raises(CapExceeded, match=f"edges exceed cap {charge - 1}$"):
+            run()
 
     def test_wedge_packings_vs_line_matchings(self):
         rng = random.Random(5)
@@ -548,8 +624,7 @@ class TestIsomorphism:
             assert O.is_isomorphic(line_graph(make_pattern("barbed", ell)),
                                    make_pattern("collar", ell))
 
-    def test_deep_graphs_are_refused(self):
-        # one frame per vertex: C_1200 needs more than the default limit 1000
+    def test_deep_graphs_are_searched(self):
+        # one stack entry per vertex, past the default recursion limit 1000
         c = make_pattern("C", 1200)
-        with pytest.raises(CapExceeded, match="past the recursion limit"):
-            O.is_isomorphic(c, c)
+        assert O.is_isomorphic(c, c)
