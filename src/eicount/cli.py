@@ -26,8 +26,7 @@ import sys
 
 import eicount as pkg
 from .config import COVER_BOUND, CapExceeded, meter
-from .graphs import (Graph, bfs_layers, bits, make_pattern, parse_graph,
-                     serialize_graph)
+from .graphs import Graph, make_pattern, parse_graph, serialize_graph
 
 # quantity -> {algo: count(pattern, host, args)}; each function is looked up
 # through the package at call time, which loads its module on first use, and
@@ -41,12 +40,9 @@ ROUTES = {
     "wedginj": {"oracle": lambda p, h, a: pkg.oracles.count_edginj_weighted(p, h)},
     "matchings": {
         "oracle": lambda p, h, a: pkg.oracles.count_matchings(h, a.k),
-        "pipeline:wedges": lambda p, h, a: pkg.reductions.count_matchings_via_wedges(
-            h, _pick_left(h), a.k),
-        "pipeline:apex": lambda p, h, a: pkg.reductions.count_matchings_via_apex(
-            h, _bipartition(h)[0], a.k),
-        "pipeline:star": lambda p, h, a: pkg.reductions.count_matchings_via_star(
-            h, _pick_left(h), a.k)},
+        "pipeline:wedges": lambda p, h, a: pkg.reductions.count_matchings_via_wedges(h, a.k),
+        "pipeline:apex": lambda p, h, a: pkg.reductions.count_matchings_via_apex(h, a.k),
+        "pipeline:star": lambda p, h, a: pkg.reductions.count_matchings_via_star(h, a.k)},
     "colmatch": {
         "oracle": lambda p, h, a: pkg.oracles.count_matchings(h, h.k, colorful=True),
         "pipeline:subdiv": lambda p, h, a: pkg.holant.colmatch_via_subdivision(h),
@@ -79,34 +75,6 @@ def _load_graph(spec: str) -> Graph:
         return parse_graph(fh.read())
 
 
-def _bipartition(g: Graph):
-    """2-color the host by the parity of BFS layers; returns (sideA, sideB)
-    or raises."""
-    sides = [0, 0]
-    rest = (1 << g.n) - 1
-    while rest:
-        for d, layer in enumerate(bfs_layers(g.masks, rest & -rest)):
-            sides[d % 2] |= layer
-            rest ^= layer
-    for side in sides:
-        if any(g.masks[v] & side for v in bits(side)):
-            raise ValueError("host is not bipartite")
-    a, b = (list(bits(side)) for side in sides)
-    return a, b
-
-
-def _pick_left(g: Graph):
-    """Choose the pipeline's left side: the other side must have degree <= 2
-    and left pairs may share at most one neighbor."""
-    for left in _bipartition(g):
-        try:
-            pkg.reductions.validate_hub_sides(g, left)
-            return left
-        except ValueError:
-            continue
-    raise ValueError("no side of the host satisfies the pipeline preconditions")
-
-
 def _run_count(args) -> int:
     q = args.quantity
     algo = args.algo
@@ -127,7 +95,7 @@ def _run_count(args) -> int:
     if args.format == "json":
         import json
         params = {"k": args.k, "pattern": args.pattern, "host": args.host,
-                  "ell": args.ell}
+                  "ell": args.ell if algo == "pipeline:line" else None}
         print(json.dumps({"quantity": q, "value": str(value), "algo": algo,
                           "params": {k: v for k, v in params.items() if v is not None}}))
     else:

@@ -138,11 +138,10 @@ def count_edginj_weighted(h: Graph, g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # matchings
 
-def _matchings(edges, k=None, classes=None):
-    """Yield (size, bitmask of the covered vertices) for each matching the
-    search reaches: with ``k``, each k-edge matching, taking one edge from
-    each of ``classes`` in turn when given; without ``k``, every matching,
-    the empty one too.
+def _matchings(edges, k, classes=None, smaller=False):
+    """Yield (size, bitmask of the covered vertices) for each k-edge
+    matching, taking one edge from each of ``classes`` in turn when given;
+    with ``smaller``, every matching of at most k edges, the empty one too.
 
     The search keeps its own stack.  The edges each node tries, summed over
     the nodes, are charged to ``SEARCH_VOLUME_CAP``: the search counts them
@@ -155,7 +154,7 @@ def _matchings(edges, k=None, classes=None):
     stack = [(0, 0, 0)]  # (size, first edge it may add, covered vertices)
     while stack:
         size, start, used = stack.pop()
-        if k is None or size == k:
+        if smaller or size == k:
             yield size, used
         if size == k:
             continue
@@ -163,7 +162,7 @@ def _matchings(edges, k=None, classes=None):
             pool, start, stop = classes[size], 0, len(classes[size])
         else:  # leave room for the k - size edges still to add
             pool = edges
-            stop = len(edges) if k is None else len(edges) - (k - size) + 1
+            stop = len(edges) if smaller else len(edges) - (k - size) + 1
         tried = range(start, stop)
         budget -= len(tried)
         if budget < 0:  # past what the cap had left, so the charge raises
@@ -191,8 +190,9 @@ def count_matchings(g: Graph, k: int, colorful: bool = False) -> int:
     return sum(1 for _ in _matchings(g.edges, k, classes))
 
 
-def matchings_profile(g: Graph, special=()):
-    """Tally all matchings of ``g`` by (size, #special vertices covered).
+def matchings_profile(g: Graph, special, most: int):
+    """Tally the matchings of at most ``most`` edges of ``g`` by (size,
+    #special vertices covered).
 
     Returns a dict (size, covered) -> count; the empty matching is included.
     Used by the wedge pipeline to factor out interchangeable pendant edges.
@@ -202,7 +202,7 @@ def matchings_profile(g: Graph, special=()):
     for v in special:
         smask |= 1 << v
     out = {}
-    for size, used in _matchings(g.edges):
+    for size, used in _matchings(g.edges, most, smaller=True):
         key = (size, (used & smask).bit_count())
         out[key] = out.get(key, 0) + 1
     return out

@@ -10,7 +10,6 @@ are exponential, so hosts stay desk-scale.
 
 from __future__ import annotations
 
-import itertools
 from math import comb, factorial, perm
 
 from .exact import (Polynomial, exact_quotient, interpolate, recover_unknowns,
@@ -23,32 +22,58 @@ from .oracles import count_edginj, count_edginj_weighted, matchings_profile
 # ---------------------------------------------------------------------------
 # the hub construction shared by the wedge and star pipelines
 
-def _validate_bipartite_only(g: Graph, left):
-    lset = set(left)
+def _color_classes(g: Graph):
+    """The neighbour lists of ``g``, built from ``edges``, and the two
+    colour classes of each component, the class of its least vertex first.
+    O(n + m); raises ValueError if ``g`` is not bipartite."""
+    nbrs = [[] for _ in range(g.n)]
     for u, v in g.edges:
-        if (u in lset) == (v in lset):
-            raise ValueError("graph is not bipartite for the given left set")
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    color = [-1] * g.n
+    classes = []
+    for s in range(g.n):
+        if color[s] < 0:
+            color[s] = 0
+            comp = [s]
+            for v in comp:  # comp grows as the search reaches new vertices
+                for u in nbrs[v]:
+                    if color[u] < 0:
+                        color[u] = 1 - color[v]
+                        comp.append(u)
+                    elif color[u] == color[v]:
+                        raise ValueError("host is not bipartite")
+            classes.append(([v for v in comp if not color[v]],
+                            [v for v in comp if color[v]]))
+    return nbrs, classes
 
 
-def validate_hub_sides(g: Graph, left):
-    """Check the hub construction's preconditions: g is bipartite with
-    ``left`` as one side, every right vertex has degree at most 2, and no
-    two left vertices share two neighbours.  Returns the sorted (left,
-    right) vertex lists, or raises ValueError."""
-    left = sorted(set(left))
-    _validate_bipartite_only(g, left)
-    lset = set(left)
-    right = [v for v in range(g.n) if v not in lset]
-    for v in right:
-        if g.degree(v) > 2:
-            raise ValueError(f"right vertex {v} has degree > 2")
-    for a, b in itertools.combinations(left, 2):
-        if (g.masks[a] & g.masks[b]).bit_count() > 1:
-            raise ValueError(f"left vertices {a},{b} share two neighbors")
-    return left, right
+def hub_sides(g: Graph):
+    """The (left, right) sides of the hub construction as sorted vertex
+    lists, chosen per component in O(n + m).  A colour class fits as the
+    right side when its vertices have degree <= 2 and no two of degree 2
+    have the same two neighbours; the left side of a component is the class
+    of its least vertex when the other class fits, else the other class.
+    Raises ValueError if ``g`` is not bipartite or no class of a component
+    fits."""
+    nbrs, classes = _color_classes(g)
+    is_left = bytearray(g.n)
+    for pair in classes:
+        for left, right in (pair, pair[::-1]):
+            ends = [frozenset(nbrs[v]) for v in right if len(nbrs[v]) == 2]
+            if (all(len(nbrs[v]) <= 2 for v in right)
+                    and len(set(ends)) == len(ends)):
+                break
+        else:
+            raise ValueError(f"no side of the component of vertex "
+                             f"{pair[0][0]} fits the hub construction")
+        for v in left:
+            is_left[v] = 1
+    return ([v for v in range(g.n) if is_left[v]],
+            [v for v in range(g.n) if not is_left[v]])
 
 
-def _hub_core(g: Graph, left, first: int):
+def _hub_core(g: Graph, first: int):
     """The part shared by the hub graphs: vertex 0 adjacent to every left
     vertex and every degree-2 right vertex contracted to an edge between
     its two (left) neighbours.  The left vertices, then the right vertices
@@ -57,7 +82,7 @@ def _hub_core(g: Graph, left, first: int):
 
     Returns (vertex count, edge list).
     """
-    left, right = validate_hub_sides(g, left)
+    left, right = hub_sides(g)
     keep_right = [v for v in right if g.degree(v) == 1]
     newid = {v: first + i for i, v in enumerate(left + keep_right)}
     es = [(0, newid[v]) for v in left]
@@ -70,18 +95,18 @@ def _hub_core(g: Graph, left, first: int):
     return first + len(newid), es
 
 
-def build_Gr(g: Graph, left, r: int) -> Graph:
+def build_Gr(g: Graph, r: int) -> Graph:
     """Hub graph: vertex 0 adjacent to every left vertex, r pendant special
     vertices 1..r on the hub, and every degree-2 right vertex contracted to
-    an edge between its two (left) neighbors.
+    an edge between its two (left) neighbors, the sides of :func:`hub_sides`.
 
     New ids: hub 0, specials 1..r, then the left vertices in increasing
-    original order, then the right vertices of degree <= 1.  The resulting
-    graph is simple by the validated preconditions.
+    original order, then the right vertices of degree 1.  The resulting
+    graph is simple by the checked sides.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    n, es = _hub_core(g, left, 1 + r)
+    n, es = _hub_core(g, 1 + r)
     es += [(0, s) for s in range(1, r + 1)]
     return Graph(n, es)
 
@@ -125,23 +150,24 @@ def wedge_classification(g0: Graph, k: int):
     return counts
 
 
-def wedge_alpha_oracle(g: Graph, left, k: int):
+def wedge_alpha_oracle(g: Graph, k: int):
     """The alpha numbers for a bipartite instance: images of k disjoint
     wedges in G^0 with zero test wedges, keyed (good, bad)."""
-    g0 = build_Gr(g, left, 0)
+    g0 = build_Gr(g, 0)
     cls = wedge_classification(g0, k)
     return {(gd, b): c for (t, gd, b), c in cls.items() if t == 0}
 
 
-def _hub_profile(g0: Graph):
-    """Matchings of the line graph of ``g0`` tallied by (size, #hub edges
-    covered), together with the hub degree; everything
-    :func:`_packings_from_profile` needs for any (r, j).
+def _hub_profile(g0: Graph, most: int):
+    """Matchings of at most ``most`` edges of the line graph of ``g0``
+    tallied by (size, #hub edges covered), together with the hub degree;
+    everything :func:`_packings_from_profile` needs for any r and any
+    j <= ``most``.
 
     ``g0`` must be the hub graph with r = 0 (hub vertex 0).
     """
     hub_edge_vertices = [i for i, e in enumerate(g0.edges) if 0 in e]
-    profile = matchings_profile(line_graph(g0), special=hub_edge_vertices)
+    profile = matchings_profile(line_graph(g0), hub_edge_vertices, most)
     return profile, len(hub_edge_vertices)
 
 
@@ -175,11 +201,11 @@ def wedge_packings_in_hub(g0: Graph, r: int, j: int) -> int:
 
     ``g0`` must be the hub graph with r = 0 (hub vertex 0).
     """
-    return _packings_from_profile(*_hub_profile(g0), r, j)
+    return _packings_from_profile(*_hub_profile(g0, j), r, j)
 
 
-def count_matchings_via_wedges(g: Graph, left, k: int) -> int:
-    """k-matchings of a right-degree-<=2 bipartite graph recovered from
+def count_matchings_via_wedges(g: Graph, k: int) -> int:
+    """k-matchings of a graph :func:`hub_sides` accepts, recovered from
     edge-injective wedge-packing counts on the hub graphs G^r.
 
     For each packing size j the counts over r form a polynomial of degree
@@ -191,13 +217,12 @@ def count_matchings_via_wedges(g: Graph, left, k: int) -> int:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    left = sorted(set(left))
-    g0 = build_Gr(g, left, 0)
-    n_left = len(left)
-    profile, n_hub = _hub_profile(g0)
+    g0 = build_Gr(g, 0)
+    most = required_inputs(k)
+    profile, n_left = _hub_profile(g0, most)
     polys = []
-    for j in range(required_inputs(k) + 1):
-        pts = [(r, _packings_from_profile(profile, n_hub, r, j))
+    for j in range(most + 1):
+        pts = [(r, _packings_from_profile(profile, n_left, r, j))
                for r in range(2 * j + 2)]
         beta_j = interpolate(pts)
         if beta_j.degree > 2 * j:
@@ -212,12 +237,12 @@ def count_matchings_via_wedges(g: Graph, left, k: int) -> int:
 # ---------------------------------------------------------------------------
 # apex and subdivided-star pipelines
 
-def count_matchings_via_apex(g: Graph, left, k: int) -> int:
+def count_matchings_via_apex(g: Graph, k: int) -> int:
     """k-matchings of a bipartite graph from one edge-injective count of k
     disjoint triangles into the graph plus a universal apex."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    _validate_bipartite_only(g, left)
+    _color_classes(g)  # raises unless g is bipartite
     apex = g.n
     es = list(g.edges) + [(v, apex) for v in range(g.n)]
     gp = Graph(g.n + 1, es)
@@ -226,27 +251,27 @@ def count_matchings_via_apex(g: Graph, left, k: int) -> int:
                           "triangle-packing count must divide exactly")
 
 
-def build_star_host(g: Graph, left) -> Graph:
+def build_star_host(g: Graph) -> Graph:
     """The subdivided-star host: hub adjacent to the left side, degree-2
     right vertices contracted, plus a pendant path hub-1-2 acting as the
     anchor ray.  Ids: hub 0, path vertices 1 and 2, then as in build_Gr."""
-    n, es = _hub_core(g, left, 3)
+    n, es = _hub_core(g, 3)
     es += [(0, 1), (1, 2)]
     return Graph(n, es)
 
 
-def count_matchings_via_star(g: Graph, left, k: int) -> int:
-    """k-matchings via subdivided stars: the difference of the SS_{k+1}
-    counts on the star host with and without the anchor tip counts exactly
-    the maps whose image contains the tip, and each k-matching arises from
-    (k+1)! of them."""
+def count_matchings_via_star(g: Graph, k: int) -> int:
+    """k-matchings of a graph :func:`hub_sides` accepts, via subdivided
+    stars: the difference of the SS_{k+1} counts on the star host with and
+    without the anchor tip counts exactly the maps whose image contains the
+    tip, and each k-matching arises from (k+1)! of them."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    host = build_star_host(g)
     if k == 0:
         # the anchored-difference identity needs the star center to have
         # degree >= 2; the empty matching is counted directly
         return 1
-    host = build_star_host(g, left)
     pat = make_pattern("SS", k + 1)
     with_tip = count_edginj(pat, host)
     without_tip = count_edginj(pat, host.remove_vertices([2]))  # tip is 2

@@ -37,14 +37,13 @@ def _random_colored(rng, n, k, p=0.5):
 
 
 def _bipartite_instances():
-    """Bipartite hosts with right degrees <= 2 and left pairs sharing at
-    most one neighbor, as (graph, left) pairs."""
+    """Bipartite hosts that :func:`reductions.hub_sides` accepts, as
+    (name, graph) pairs."""
     c6 = Graph(6, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)])
     return [
-        ("c6", c6, [0, 1, 2]),
-        ("path5", Graph(5, [(0, 3), (3, 1), (1, 4), (4, 2)]), [0, 1, 2]),
-        ("mixed", Graph(7, [(0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6)]),
-         [0, 1, 2, 3]),
+        ("c6", c6),
+        ("path5", Graph(5, [(0, 3), (3, 1), (1, 4), (4, 2)])),
+        ("mixed", Graph(7, [(0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6)])),
     ]
 
 
@@ -148,18 +147,18 @@ def suite_subdiv():
 
 def suite_wedge():
     out = []
-    for name, g, left in _bipartite_instances():
+    for name, g in _bipartite_instances():
         for k in range(0, 4):
             want = oracles.count_matchings(g, k)
-            got = reductions.count_matchings_via_wedges(g, left, k)
+            got = reductions.count_matchings_via_wedges(g, k)
             out.append((f"wedge/{name}-k{k}", got == want))
     # the alpha / beta identities by double enumeration
-    name, g, left = _bipartite_instances()[0]
-    g0 = reductions.build_Gr(g, left, 0)
-    n_left = len(left)
+    name, g = _bipartite_instances()[0]
+    g0 = reductions.build_Gr(g, 0)
+    n_left = g0.degree(0)
     alphas = {}
     for j in range(0, 4):
-        for (gd, b), c in reductions.wedge_alpha_oracle(g, left, j).items():
+        for (gd, b), c in reductions.wedge_alpha_oracle(g, j).items():
             alphas[(gd, b)] = c
     for k in range(0, 4):
         ok = alphas.get((k, 0), 0) == oracles.count_matchings(g, k) * 2 ** k * factorial(k)
@@ -182,21 +181,21 @@ def suite_wedge():
 def suite_apex():
     out = []
     c4 = make_pattern("C", 4)
-    out.append(("apex/c4-k2", reductions.count_matchings_via_apex(c4, [0, 2], 2) == 2))
-    for name, g, left in _bipartite_instances():
+    out.append(("apex/c4-k2", reductions.count_matchings_via_apex(c4, 2) == 2))
+    for name, g in _bipartite_instances():
         for k in range(0, 3):
             want = oracles.count_matchings(g, k)
-            got = reductions.count_matchings_via_apex(g, left, k)
+            got = reductions.count_matchings_via_apex(g, k)
             out.append((f"apex/{name}-k{k}", got == want))
     return out
 
 
 def suite_star():
     out = []
-    for name, g, left in _bipartite_instances():
+    for name, g in _bipartite_instances():
         for k in range(0, 3):
             want = oracles.count_matchings(g, k)
-            got = reductions.count_matchings_via_star(g, left, k)
+            got = reductions.count_matchings_via_star(g, k)
             out.append((f"star/{name}-k{k}", got == want))
     return out
 

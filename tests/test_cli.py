@@ -7,9 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from eicount import cli
 from eicount.cli import ROUTES, main
-from eicount.graphs import make_pattern, parse_graph, serialize_graph
+from eicount.graphs import parse_graph, serialize_graph
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +47,20 @@ class TestCount:
         assert doc["value"] == "3" and isinstance(doc["value"], str)
         assert doc["algo"] == "oracle"
 
+    def test_json_records_ell_where_it_is_read(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "perfmatch",
+                               "--host", "builtin:K,4", "--format", "json",
+                               "--algo", "pipeline:line")
+        assert code == 0 and json.loads(out)["params"]["ell"] == 2
+        code, out, _ = run_cli(capsys, "count", "hom", "--format", "json",
+                               "--pattern", "builtin:P,2",
+                               "--host", "builtin:K,3")
+        assert code == 0 and "ell" not in json.loads(out)["params"]
+        code, out, _ = run_cli(capsys, "count", "perfmatch",
+                               "--host", "builtin:K,4", "--ell", "0",
+                               "--algo", "pipeline:line")
+        assert (code, out) == (2, "")
+
     def test_matchings_pipelines_agree(self, capsys):
         vals = set()
         for algo in ("oracle", "pipeline:wedges", "pipeline:apex",
@@ -71,6 +84,26 @@ class TestCount:
             code, out, _ = run_cli(capsys, "count", "matchings", "--host",
                                    str(f), "--k", str(k), "--algo", algo)
             assert code == 0 and out.strip() == want
+
+    def test_matchings_pipelines_pick_the_side_per_component(self, capsys,
+                                                             tmp_path):
+        # two K_{1,3} stars, centres 0 and 5: neither global colour class
+        # can be the left side, but each component has one
+        f = tmp_path / "stars.g"
+        f.write_text("v 8\ne 0 1\ne 0 2\ne 0 3\ne 4 5\ne 5 6\ne 5 7\n")
+        for algo in ("oracle", "pipeline:wedges", "pipeline:apex",
+                     "pipeline:star"):
+            code, out, _ = run_cli(capsys, "count", "matchings", "--host",
+                                   str(f), "--k", "2", "--algo", algo)
+            assert (code, out) == (0, "9\n"), algo
+
+    def test_wedges_enumerate_matchings_up_to_3k(self, capsys):
+        # the hub profile stops at 3k edges, so C_30 at k = 1 stays well
+        # within the default search budget
+        code, out, _ = run_cli(capsys, "count", "matchings", "--host",
+                               "builtin:C,30", "--k", "1",
+                               "--algo", "pipeline:wedges")
+        assert (code, out) == (0, "30\n")
 
     @pytest.mark.parametrize("algo", ["pipeline:wedges", "pipeline:apex",
                                       "pipeline:star"])
@@ -279,17 +312,6 @@ class TestCount:
         assert code == 2 and out == ""
         assert f"unknown algo {algo!r} for {quantity}" in err
         assert "oracle" in err
-
-
-class TestPickLeft:
-    def test_checks_the_sides_without_building_the_hub(self, monkeypatch):
-        from eicount import reductions
-        monkeypatch.setattr(reductions, "build_Gr",
-                            lambda *args: pytest.fail("hub graph built"))
-        # K_{3,1}: the side {0, 1, 2} leaves vertex 3 with degree 3
-        assert cli._pick_left(make_pattern("Kab", 3, 1)) == [3]
-        with pytest.raises(ValueError, match="no side of the host"):
-            cli._pick_left(make_pattern("Kab", 3, 3))
 
 
 class TestGen:

@@ -416,8 +416,11 @@ class TestMatchings:
         (lambda: O.count_matchings(C4_TWO_COLORS, 2, colorful=True), 2, 6),
         # every matching tries the edges after its last one: 4 for the empty
         # one, 3 + 2 + 1 + 0 for the single edges and 0 + 1 for the pairs
-        (lambda: O.matchings_profile(make_pattern("C", 4), [0]),
+        (lambda: O.matchings_profile(make_pattern("C", 4), [0], 4),
          {(0, 0): 1, (1, 1): 2, (1, 0): 2, (2, 1): 2}, 11),
+        # at most one edge: only the empty matching tries the 4 edges
+        (lambda: O.matchings_profile(make_pattern("C", 4), [0], 1),
+         {(0, 0): 1, (1, 1): 2, (1, 0): 2}, 4),
     ])
     def test_edges_tried_are_charged(self, monkeypatch, run, want, charge):
         monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", str(charge))

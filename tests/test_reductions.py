@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import time
 from math import comb, factorial
 
 import pytest
@@ -14,91 +16,141 @@ from eicount.reductions import (build_Gr, build_cycle_gadget,
                                 count_matchings_via_wedges,
                                 count_simple_cycles_via_gadget,
                                 cycle_gadget_polynomial,
-                                ec_cycles_via_paths, gadget_walks,
+                                ec_cycles_via_paths, gadget_walks, hub_sides,
                                 longest_edge_disjoint_cycle,
                                 min_weighted_edge_separation,
                                 unweight_cycles, wedge_alpha_oracle,
                                 wedge_classification, wedge_packings_in_hub)
 
 C6 = Graph(6, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)])
-C6_LEFT = [0, 1, 2]
 PATH5 = Graph(5, [(0, 3), (3, 1), (1, 4), (4, 2)])
 # degree-1 and isolated left vertices exercise the hub construction corners
 RAGGED = Graph(5, [(0, 3), (3, 1), (1, 4)])
 K4 = make_pattern("K", 4)
 
-BIP = [("c6", C6, C6_LEFT), ("path5", PATH5, [0, 1, 2]),
-       ("ragged", RAGGED, [0, 1, 2])]
+BIP = [("c6", C6), ("path5", PATH5), ("ragged", RAGGED)]
+
+
+class TestHubSides:
+    def test_each_component_picks_its_side(self):
+        # two K_{1,3} stars with centres 0 and 5: the left side is a centre
+        # in one component and the leaves in the other
+        g = Graph(8, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (5, 7)])
+        assert hub_sides(g) == ([0, 5], [1, 2, 3, 4, 6, 7])
+
+    def test_least_vertex_side_when_both_fit(self):
+        for name, g in BIP:
+            assert hub_sides(g)[0] == [0, 1, 2], name
+        assert hub_sides(PATH5) == ([0, 1, 2], [3, 4])
+
+    def test_other_side_when_only_it_fits(self):
+        # K_{3,1}: the side {0, 1, 2} leaves vertex 3 with degree 3
+        assert hub_sides(make_pattern("Kab", 3, 1)) == ([3], [0, 1, 2])
+
+    def test_unfit_component_named(self):
+        # an edge, then K_{3,3} on vertices 2..7
+        g = Graph(8, [(0, 1)] + [(a, b) for a in (2, 3, 4) for b in (5, 6, 7)])
+        with pytest.raises(ValueError, match="component of vertex 2 "):
+            hub_sides(g)
+
+    def test_odd_cycle(self):
+        with pytest.raises(ValueError, match="host is not bipartite"):
+            hub_sides(make_pattern("C", 5))
+
+    def test_grows_linearly(self):
+        # 20 times the vertices take about 20 times the CPU time (a path:
+        # 1.8 ms on 2,000 vertices, 34 ms on 40,000, Python 3.11); testing
+        # every pair of left vertices for two shared neighbours is
+        # quadratic (0.12 s on 2,000 vertices, 2.8 s on 8,000).  The garbage
+        # collector is held off while timing, as in the component test of
+        # test_graphs.py
+        def cpu(n):
+            g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+            want = list(range(0, n, 2)), list(range(1, n, 2))
+            best = float("inf")
+            for _ in range(3):
+                gc.collect()
+                gc.disable()
+                try:
+                    start = time.process_time()
+                    got = hub_sides(g)
+                    best = min(best, time.process_time() - start)
+                finally:
+                    gc.enable()
+                assert got == want
+            return best
+
+        assert cpu(40000) < 60 * cpu(2000)
 
 
 class TestBuildGr:
     def test_single_edge(self):
         g = Graph(2, [(0, 1)])
-        gr = build_Gr(g, [0], 0)
+        gr = build_Gr(g, 0)
         # a path hub - left - right
         assert (gr.n, gr.m) == (3, 2)
 
     def test_vertex_count(self):
         for r in range(4):
-            gr = build_Gr(C6, C6_LEFT, r)
-            assert gr.n == len(C6_LEFT) + 0 + 1 + r
+            gr = build_Gr(C6, r)
+            assert gr.n == 3 + 0 + 1 + r
 
     def test_shared_neighbors_rejected(self):
         bad = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
         with pytest.raises(ValueError):
-            build_Gr(bad, [0, 1], 0)
+            build_Gr(bad, 0)
 
     def test_right_degree_rejected(self):
-        bad = Graph(4, [(0, 3), (1, 3), (2, 3)])
+        # each side of K_{3,3} holds vertices of degree 3
         with pytest.raises(ValueError):
-            build_Gr(bad, [0, 1, 2], 0)
+            build_Gr(make_pattern("Kab", 3, 3), 0)
 
     def test_documented_ids(self):
         # RAGGED: right vertex 3 joins left 0 and 1, right vertex 4 hangs
         # off left 1, left 2 is isolated
-        gr = build_Gr(RAGGED, [0, 1, 2], 1)
+        gr = build_Gr(RAGGED, 1)
         assert gr.n == 6
         assert gr.edges == ((0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (3, 5))
         # special 1 hangs off the hub; the left vertices 2, 3, 4 follow
         assert gr.masks[1] == 1 and gr.masks[0] == 0b11110
-        star = build_star_host(RAGGED, [0, 1, 2])
+        star = build_star_host(RAGGED)
         assert star.n == 7
         assert star.edges == ((0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (3, 4),
                               (4, 6))
         assert star.masks[2] == 1 << 1 and star.has_edge(0, 1)
 
     def test_simple(self):
-        for name, g, left in BIP:
+        for name, g in BIP:
             for r in (0, 2):
-                gr = build_Gr(g, left, r)
+                gr = build_Gr(g, r)
                 assert len(set(gr.edges)) == gr.m
 
 
 class TestWedgeStats:
     def test_alpha_k0(self):
-        assert wedge_classification(build_Gr(C6, C6_LEFT, 0), 0) == {(0, 0, 0): 1}
+        assert wedge_classification(build_Gr(C6, 0), 0) == {(0, 0, 0): 1}
 
     def test_alpha_matches_matchings(self):
-        for name, g, left in BIP:
+        for name, g in BIP:
             for k in range(0, 4):
-                alpha = wedge_alpha_oracle(g, left, k)
+                alpha = wedge_alpha_oracle(g, k)
                 assert alpha.get((k, 0), 0) == \
                     O.count_matchings(g, k) * 2 ** k * factorial(k)
 
     def test_alpha_zero_beyond_k(self):
-        alpha = wedge_alpha_oracle(C6, C6_LEFT, 2)
+        alpha = wedge_alpha_oracle(C6, 2)
         assert all(gd + b == 2 for gd, b in alpha)
 
     def test_beta_identity_by_double_enumeration(self):
-        g, left = C6, C6_LEFT
-        g0 = build_Gr(g, left, 0)
-        n_left = len(left)
+        g = C6
+        g0 = build_Gr(g, 0)
+        n_left = g0.degree(0)
         alphas = {}
         for j in range(0, 4):
-            alphas.update(wedge_alpha_oracle(g, left, j))
+            alphas.update(wedge_alpha_oracle(g, j))
         for k in range(0, 4):
             for r in range(0, 4):
-                gr = build_Gr(g, left, r)
+                gr = build_Gr(g, r)
                 lhs = O.count_edginj(make_pattern("kP2", k), gr) if k else 1
                 rhs = 0
                 for t in range(k + 1):
@@ -112,46 +164,52 @@ class TestWedgeStats:
 
 class TestWedgePipeline:
     def test_matches_oracle(self):
-        for name, g, left in BIP:
+        for name, g in BIP:
             for k in range(0, 4):
-                assert count_matchings_via_wedges(g, left, k) == \
+                assert count_matchings_via_wedges(g, k) == \
                     O.count_matchings(g, k), (name, k)
 
     def test_k1_counts_edges(self):
-        assert count_matchings_via_wedges(C6, C6_LEFT, 1) == C6.m
+        assert count_matchings_via_wedges(C6, 1) == C6.m
 
 
 class TestApexPipeline:
     def test_c4(self):
         c4 = make_pattern("C", 4)
-        assert count_matchings_via_apex(c4, [0, 2], 2) == 2
-        assert count_matchings_via_apex(c4, [0, 2], 1) == 4
+        assert count_matchings_via_apex(c4, 2) == 2
+        assert count_matchings_via_apex(c4, 1) == 4
 
     def test_matches_oracle(self):
-        for name, g, left in BIP:
+        for name, g in BIP:
             for k in range(0, 3):
-                assert count_matchings_via_apex(g, left, k) == \
+                assert count_matchings_via_apex(g, k) == \
                     O.count_matchings(g, k)
 
     def test_rejects_nonbipartite(self):
         with pytest.raises(ValueError):
-            count_matchings_via_apex(make_pattern("K", 3), [0], 1)
+            count_matchings_via_apex(make_pattern("K", 3), 1)
 
 
 class TestStarPipeline:
     def test_matches_oracle(self):
-        for name, g, left in BIP:
+        for name, g in BIP:
             for k in range(0, 3):
-                assert count_matchings_via_star(g, left, k) == \
+                assert count_matchings_via_star(g, k) == \
                     O.count_matchings(g, k)
 
     def test_single_edge(self):
-        assert count_matchings_via_star(Graph(2, [(0, 1)]), [0], 1) == 1
+        assert count_matchings_via_star(Graph(2, [(0, 1)]), 1) == 1
+
+    @pytest.mark.parametrize("host", [make_pattern("K", 3),
+                                      make_pattern("Kab", 3, 3)])
+    def test_host_checked_at_k0(self, host):
+        with pytest.raises(ValueError):
+            count_matchings_via_star(host, 0)
 
     def test_host_simple(self):
         # the anchor end 2 is a leaf on 1, and 1 is a neighbour of the hub 0
-        for name, g, left in BIP:
-            host = build_star_host(g, left)
+        for name, g in BIP:
+            host = build_star_host(g)
             assert len(set(host.edges)) == host.m, name
             assert host.masks[2] == 1 << 1 and host.has_edge(0, 1), name
 
