@@ -219,50 +219,55 @@ def count_emb_small_vc(f: Graph, g: Graph, bound: int = COVER_BOUND) -> int:
     if f.n > g.n:
         return 0
     cover = sorted(minimum_vertex_cover(f, limit=bound))
+    fmasks, gmasks = f.masks, g.masks
     class_sizes = {}
     for v in range(f.n):
         if v not in cover:
-            class_sizes[f.masks[v]] = class_sizes.get(f.masks[v], 0) + 1
+            class_sizes[fmasks[v]] = class_sizes.get(fmasks[v], 0) + 1
     classes = sorted(class_sizes.items(), key=lambda kv: list(bits(kv[0])))
-    # checks[i]: the classes whose requirement is fully placed with cover[i]
-    # (cover is sorted, so that is its highest requirement bit)
+    # checks[i]: (class, requirement vertices, multiplicity) for the classes
+    # whose requirement is fully placed with cover[i] (cover is sorted, so
+    # that is its highest requirement bit)
     checks = [[] for _ in cover]
     for k, (req, mult) in enumerate(classes):
         if req:
-            checks[cover.index(req.bit_length() - 1)].append((k, req, mult))
+            checks[cover.index(req.bit_length() - 1)].append(
+                (k, tuple(bits(req)), mult))
     full = (1 << g.n) - 1
-    return _place(f, g, cover, checks, 0, {}, full, [full] * len(classes),
-                  [mult for _, mult in classes], {})
+    return _place(fmasks, gmasks, cover, checks, 0, {}, full,
+                  [full] * len(classes), [mult for _, mult in classes], {})
 
 
-def _place(f: Graph, g: Graph, cover, checks, i, image, free, cand, mults,
+def _place(fmasks, gmasks, cover, checks, i, image, free, cand, mults,
            memo) -> int:
-    """Count the embeddings of f that extend ``image``, the placement of
-    cover[:i], with the rest of g in the bitmask ``free``.  ``cand[k]`` is
-    class k's candidate mask once its requirement is placed; entries are
-    overwritten, never restored, since each is read only below the position
-    that sets it.  ``memo`` is the call's cell-profile memo."""
+    """Count the embeddings of the pattern with neighbour masks ``fmasks``
+    into the host with ``gmasks`` that extend ``image``, the placement of
+    cover[:i], with the rest of the host in the bitmask ``free``.
+    ``cand[k]`` is class k's candidate mask once its requirement is placed;
+    entries are overwritten, never restored, since each is read only below
+    the position that sets it.  ``memo`` is the call's cell-profile memo."""
     if i == len(cover):
         return _independent_count([c & free for c in cand], mults, memo)
     v = cover[i]
+    nb = fmasks[v]
     hosts = free
     for u, x in image.items():
-        if f.masks[v] >> u & 1:
-            hosts &= g.masks[x]
+        if nb >> u & 1:
+            hosts &= gmasks[x]
     total = 0
     for w in bits(hosts):
         image[v] = w
         rest = free & ~(1 << w)
         for k, req, mult in checks[i]:
             c = rest
-            for u in bits(req):
-                c &= g.masks[image[u]]
+            for u in req:
+                c &= gmasks[image[u]]
             if c.bit_count() < mult:
                 break  # too few host vertices left for this class
             cand[k] = c
         else:
-            total += _place(f, g, cover, checks, i + 1, image, rest, cand,
-                            mults, memo)
+            total += _place(fmasks, gmasks, cover, checks, i + 1, image, rest,
+                            cand, mults, memo)
         del image[v]
     return total
 

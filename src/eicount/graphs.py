@@ -425,15 +425,21 @@ def minimum_vertex_cover(g: Graph, limit=None):
         return frozenset()
     budget = left("VERTEX_COVER_CAP")
     tried = 0
-    verts = sorted({v for e in g.edges for v in e})
+    masks = g.masks
+    verts = [v for v in range(g.n) if masks[v]]
+    everything = sum(1 << v for v in verts)
     top = len(verts) if limit is None else min(limit, len(verts))
     for size in range(top + 1):
         for cand in itertools.combinations(verts, size):
             tried += 1
             if tried > budget:  # past what the cap had left: raises
                 charge("VERTEX_COVER_CAP", tried, "subsets")
-            cs = set(cand)
-            if all(u in cs or v in cs for u, v in g.edges):
+            out = everything
+            for v in cand:
+                out ^= 1 << v
+            # cand covers every edge iff no vertex outside it has a
+            # neighbour outside it
+            if not any(masks[v] & out for v in bits(out)):
                 charge("VERTEX_COVER_CAP", tried, "subsets")
                 return frozenset(cand)
     charge("VERTEX_COVER_CAP", tried, "subsets")

@@ -10,6 +10,7 @@ eicount._backend.run_kernel.
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import perm
 
 from ._backend import run_kernel
@@ -31,18 +32,7 @@ def _search_plan(h: Graph):
     position; cycle tells whether h takes the rooted search: it is
     2-regular on at least 3 vertices and connected (every position after
     the first has a parent)."""
-    order = []
-    placed = 0
-    while len(order) < h.n:
-        best = None
-        for v in range(h.n):
-            if placed >> v & 1:
-                continue
-            key = ((h.masks[v] & placed).bit_count(), h.degree(v), -v)
-            if best is None or key > best[0]:
-                best = (key, v)
-        order.append(best[1])
-        placed |= 1 << best[1]
+    order = _search_order(h)
     pos_of = {v: i for i, v in enumerate(order)}
     parents = tuple(tuple(sorted(pos_of[u] for u in bits(h.masks[v])
                                  if pos_of[u] < i))
@@ -62,6 +52,32 @@ def _search_plan(h: Graph):
     cycle = (h.n >= 3 and all(m.bit_count() == 2 for m in h.masks)
              and all(parents[1:]))
     return parents, tuple(anchor), tuple(adist), cycle
+
+
+def _search_order(h: Graph):
+    """The connected-greedy vertex order of the map search: each position
+    takes the unplaced vertex with the most placed neighbours, then the
+    highest degree, then the least index.  A heap keyed (-placed
+    neighbours, -degree, v) holds the candidates; placing a vertex pushes
+    a new entry for each unplaced neighbour, and an entry whose count is
+    stale is skipped when popped, so the order takes O((n + m) log n)."""
+    degree = [m.bit_count() for m in h.masks]
+    placed_nbrs = [0] * h.n
+    heap = [(0, -degree[v], v) for v in range(h.n)]
+    heapify(heap)
+    order = []
+    done = [False] * h.n
+    while heap:
+        c, _, v = heappop(heap)
+        if done[v] or -c != placed_nbrs[v]:
+            continue
+        order.append(v)
+        done[v] = True
+        for u in bits(h.masks[v]):
+            if not done[u]:
+                placed_nbrs[u] += 1
+                heappush(heap, (-placed_nbrs[u], -degree[u], u))
+    return order
 
 
 def _peeled_factor(h: Graph, g: Graph, mode: int, weighted: bool):

@@ -5,6 +5,7 @@ route computes another way; the tests check the route against it.
 """
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from eicount.exact import Polynomial
@@ -23,6 +24,37 @@ def all_partitions(items):
         for i in range(len(part)):
             yield part[:i] + [part[i] + [first]] + part[i + 1:]
         yield [[first]] + part
+
+
+def minimum_vertex_cover_by_sets(g: Graph):
+    """The first minimum vertex cover in ``itertools.combinations`` order
+    over the non-isolated vertices, each subset tested edge by edge as a
+    set: the cross-check for ``graphs.minimum_vertex_cover``."""
+    verts = sorted({v for e in g.edges for v in e})
+    for size in range(len(verts) + 1):
+        for cand in combinations(verts, size):
+            cs = set(cand)
+            if all(u in cs or v in cs for u, v in g.edges):
+                return frozenset(cand)
+
+
+def search_order_by_rescan(h: Graph):
+    """The map search's vertex order by rescanning every unplaced vertex
+    for the key (placed neighbours, degree, -index) at each position: the
+    cross-check for ``oracles._search_order``."""
+    order = []
+    placed = 0
+    while len(order) < h.n:
+        best = None
+        for v in range(h.n):
+            if placed >> v & 1:
+                continue
+            key = ((h.masks[v] & placed).bit_count(), h.degree(v), -v)
+            if best is None or key > best[0]:
+                best = (key, v)
+        order.append(best[1])
+        placed |= 1 << best[1]
+    return order
 
 
 def count_edginj_via_partition_sum(h: Graph, g: Graph) -> int:

@@ -2,7 +2,7 @@ import gc
 import itertools
 import random
 from collections import Counter
-from math import factorial
+from math import factorial, perm
 
 import pytest
 
@@ -268,6 +268,27 @@ class TestEmbSmallVc:
     def test_cover_bound(self):
         with pytest.raises(CapExceeded):
             count_emb_small_vc(make_pattern("K", 6), make_pattern("K", 7), bound=2)
+
+    def test_masks_read_once_per_call(self, monkeypatch):
+        # the placement reads bound mask tuples, so the number of
+        # Graph.masks reads does not grow with the host or the search
+        reads = []
+        masks = Graph.masks
+
+        def counted(g):
+            reads.append(1)
+            return masks.fget(g)
+
+        monkeypatch.setattr(Graph, "masks", property(counted))
+        f = make_pattern("Kab", 2, 3)
+        per_host = []
+        for n in (10, 40):
+            g = make_pattern("K", n)
+            g.masks  # built before counting
+            reads.clear()
+            assert count_emb_small_vc(f, g) == perm(n, 5)
+            per_host.append(len(reads))
+        assert per_host[0] == per_host[1]
 
     @pytest.mark.parametrize("f, g, answer, max_calls", [
         (make_pattern("C", 6), make_pattern("C", 20), 0, 0),

@@ -12,7 +12,7 @@ from eicount.graphs import (Graph, bfs_layers, bits, isolated_parts,
                             line_graph, make_pattern, minimum_vertex_cover,
                             parse_graph, quotient, serialize_graph, subdivide,
                             vertex_cover_number, weight_gadget)
-from reference import all_partitions
+from reference import all_partitions, minimum_vertex_cover_by_sets
 
 
 def random_graph_strategy(max_n=7, p=0.5):
@@ -291,6 +291,23 @@ class TestVertexCover:
         monkeypatch.setenv("EICOUNT_VERTEX_COVER_CAP", "1000")
         with pytest.raises(CapExceeded, match="1001 subsets exceed cap 1000"):
             vertex_cover_number(make_pattern("K", 12))
+
+    def test_bitmask_search_matches_set_search(self):
+        # the same cover, so the same subsets tried: every labelled graph
+        # on at most 5 vertices, then random graphs on 6 to 9
+        graphs = []
+        for n in range(6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for keep in range(1 << len(pairs)):
+                graphs.append(Graph(n, [e for j, e in enumerate(pairs)
+                                        if keep >> j & 1]))
+        rng = random.Random(25)
+        for _ in range(150):
+            n = rng.randrange(6, 10)
+            graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2)
+                                    if rng.random() < rng.choice((0.2, 0.5))]))
+        for g in graphs:
+            assert minimum_vertex_cover(g) == minimum_vertex_cover_by_sets(g)
 
     @given(random_graph_strategy(max_n=6))
     @settings(max_examples=40, deadline=None)

@@ -12,7 +12,7 @@ from eicount import oracles as O
 from eicount.config import CapExceeded
 from eicount.graphs import Graph, line_graph, make_pattern
 from eicount.linegraphs import replace_matching_with_collars, triangle_expand
-from reference import count_edginj_via_partition_sum
+from reference import count_edginj_via_partition_sum, search_order_by_rescan
 
 K2 = make_pattern("K", 2)
 K3 = make_pattern("K", 3)
@@ -72,6 +72,21 @@ class TestHomFamily:
         monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "10000")
         with pytest.raises(CapExceeded, match="SEARCH_VOLUME_CAP"):
             O.count_hom(make_pattern("K", 12), make_pattern("K", 12))
+
+
+def test_search_order_matches_rescan():
+    # random patterns with many ties in placed neighbours and degree:
+    # sparse and dense ones, cycles, matchings and disjoint unions
+    rng = random.Random(25)
+    patterns = [make_pattern("C", 9), make_pattern("kP2", 3), make_pattern("K", 5),
+                Graph(7, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)]), Graph(4, [])]
+    for _ in range(300):
+        n = rng.randrange(1, 14)
+        p = rng.choice((0.15, 0.3, 0.6))
+        patterns.append(Graph(n, [e for e in itertools.combinations(range(n), 2)
+                                  if rng.random() < p]))
+    for h in patterns:
+        assert O._search_order(h) == search_order_by_rescan(h)
 
 
 class TestSearchBudget:
