@@ -18,10 +18,9 @@ _EXPORTS = {
     "graphs": ["Graph", "line_graph", "make_pattern", "parse_graph",
                "quotient", "serialize_graph", "subdivide",
                "vertex_cover_number"],
-    "oracles": ["count_edge_disjoint", "count_edginj", "count_edginj_weighted",
-                "count_emb", "count_hom", "count_matchings",
-                "count_odd_edge_sets_enum", "count_perfect_matchings",
-                "is_isomorphic"],
+    "oracles": ["count_edginj", "count_edginj_weighted", "count_emb",
+                "count_hom", "count_matchings", "count_odd_edge_sets_enum",
+                "count_perfect_matchings", "count_query", "is_isomorphic"],
     "eihom": ["count_edginj_poly", "count_emb_small_vc", "reduce_isolated"],
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}

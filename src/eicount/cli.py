@@ -1,8 +1,10 @@
 """Command-line front door.
 
 Subcommands:
-  count <quantity>   exact counts via oracle, polynomial algorithm or a
-                     named reduction pipeline
+  count <quantity>   exact counts: a pattern query (``graphs.QUERIES``)
+                     through ``oracles.count_query`` by each counter of its
+                     map kind, or a named route (the matching enumeration,
+                     a reduction pipeline)
   gen <kind> <params...>   emit a builtin pattern in the graph text format
   verify <suite>     run a named identity-verification suite (or "all")
 
@@ -26,23 +28,31 @@ import sys
 
 import eicount as pkg
 from .config import COVER_BOUND, CapExceeded, meter
-from .graphs import Graph, make_pattern, parse_graph, serialize_graph
+from .graphs import (COUNTERS, QUERIES, Graph, make_pattern, parse_graph,
+                     serialize_graph)
 
-# quantity -> {algo: count(pattern, host, args)}; each function is looked up
-# through the package at call time, which loads its module on first use, and
-# a patched module attribute is what runs.
-ROUTES = {
-    "hom": {"oracle": lambda p, h, a: pkg.oracles.count_hom(p, h)},
-    "emb": {"oracle": lambda p, h, a: pkg.oracles.count_emb(p, h),
-            "poly": lambda p, h, a: pkg.eihom.count_emb_small_vc(p, h, bound=a.bound)},
-    "edginj": {"oracle": lambda p, h, a: pkg.oracles.count_edginj(p, h),
-               "poly": lambda p, h, a: pkg.eihom.count_edginj_poly(p, h, bound=a.bound)},
-    "wedginj": {"oracle": lambda p, h, a: pkg.oracles.count_edginj_weighted(p, h)},
+
+def _query(q, algo):
+    return lambda p, h, a: pkg.oracles.count_query(q, h, a.k, p, algo, a.bound)
+
+
+# quantity -> {algo: count(pattern, host, args)}: each query under each
+# counter of its map kind, then the named routes (the matching enumeration
+# is matchings' oracle).  Each function is looked up through the package at
+# call time, which loads its module on first use, and a patched module
+# attribute is what runs.
+ROUTES = {q: {algo: _query(q, algo) for algo, kinds in COUNTERS.items()
+              if kind in kinds} for q, (_, kind, _) in QUERIES.items()}
+for q, named in {
     "matchings": {
         "oracle": lambda p, h, a: pkg.oracles.count_matchings(h, a.k),
         "pipeline:wedges": lambda p, h, a: pkg.reductions.count_matchings_via_wedges(h, a.k),
         "pipeline:apex": lambda p, h, a: pkg.reductions.count_matchings_via_apex(h, a.k),
         "pipeline:star": lambda p, h, a: pkg.reductions.count_matchings_via_star(h, a.k)},
+    "ec-cycles": {
+        "pipeline:paths": lambda p, h, a: pkg.reductions.ec_cycles_via_paths(h, a.k)},
+    "cycles": {
+        "pipeline:gadget": lambda p, h, a: pkg.reductions.count_simple_cycles_via_gadget(h, a.k)},
     "colmatch": {
         "oracle": lambda p, h, a: pkg.oracles.count_matchings(h, h.k, colorful=True),
         "pipeline:subdiv": lambda p, h, a: pkg.holant.colmatch_via_subdivision(h),
@@ -54,17 +64,9 @@ ROUTES = {
     "odd-edge-sets": {
         "oracle": lambda p, h, a: pkg.oracles.count_odd_edge_sets_enum(h),
         "poly": lambda p, h, a: pkg.linegraphs.count_odd_edge_sets(h)},
-    "ec-cycles": {
-        "oracle": lambda p, h, a: pkg.oracles.count_edge_disjoint(h, a.k, "cycle"),
-        "pipeline:paths": lambda p, h, a: pkg.reductions.ec_cycles_via_paths(h, a.k)},
-    "ec-paths": {"oracle": lambda p, h, a: pkg.oracles.count_edge_disjoint(h, a.k, "path")},
-}
+}.items():
+    ROUTES.setdefault(q, {}).update(named)
 QUANTITIES = tuple(ROUTES)
-
-# the inputs each quantity requires, in the order they are checked
-NEEDS = {q: ("--pattern", "--host") for q in ("hom", "emb", "edginj", "wedginj")}
-NEEDS.update({q: ("--host", "--k") for q in ("matchings", "ec-cycles", "ec-paths")})
-NEEDS.update({q: ("--host",) for q in ("colmatch", "perfmatch", "odd-edge-sets")})
 
 
 def _load_graph(spec: str) -> Graph:
@@ -84,9 +86,12 @@ def _run_count(args) -> int:
                           f"choose from {', '.join(routes)}")
     host = _load_graph(args.host) if args.host else None
     pattern = _load_graph(args.pattern) if args.pattern else None
-    given = {"--pattern": pattern, "--host": host, "--k": args.k}
-    for flag in NEEDS[q]:
-        if given[flag] is None:
+    needs = {"--host": host}
+    if q in QUERIES:  # the pattern is given, or built from --k
+        needs = ({"--pattern": pattern, **needs} if QUERIES[q][0] is None
+                 else {**needs, "--k": args.k})
+    for flag, value in needs.items():
+        if value is None:
             raise SystemExit2(f"count {q} requires {flag}")
     if q == "colmatch" and host.color is None:
         raise SystemExit2("colmatch needs an edge-colored host")
@@ -146,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--ell", type=int, default=2,
                    help="collar length for pipeline:line (default 2)")
     c.add_argument("--bound", type=int, default=COVER_BOUND,
-                   help="cover bound for emb and edginj --algo poly "
-                        f"(default {COVER_BOUND})")
+                   help="pattern cover bound for --algo poly of a pattern "
+                        f"query (default {COVER_BOUND})")
     c.add_argument("--format", choices=("text", "json"), default="text")
 
     g = sub.add_parser("gen", help="emit a builtin pattern graph")

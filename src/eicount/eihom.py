@@ -24,24 +24,20 @@ from math import comb, factorial, perm
 
 from .config import COVER_BOUND
 from .exact import multinomial
-from .graphs import (Graph, bits, isolated_parts, minimum_vertex_cover,
-                     quotient)
+from .graphs import (Graph, bits, isolated_edge_factor, isolated_parts,
+                     minimum_vertex_cover, quotient)
 
 
 def reduce_isolated(h: Graph, g: Graph):
     """Split off h's isolated vertices and isolated-edge components.
 
     Returns (core, factor): EdgInj(h, G) is the factor times EdgInj(core,
-    G).  An isolated vertex adds a factor |V(G)|; the j-th isolated edge,
-    for j = 0, 1, ..., adds 2(|E(G)| - |E(core)| - j), clamped at 0, the
-    oriented host edges left once the core and the earlier isolated edges
-    have taken theirs."""
+    G).  An isolated vertex adds a factor |V(G)|, and the isolated edges
+    add :func:`graphs.isolated_edge_factor`."""
     isolated, pairs = isolated_parts(h)
     core = h.remove_vertices(isolated + pairs)
-    factor = g.n ** len(isolated)
-    for j in range(len(pairs) // 2):
-        factor *= 2 * max(0, g.m - core.m - j)
-    return core, factor
+    return core, g.n ** len(isolated) * isolated_edge_factor(
+        g, core, len(pairs) // 2)
 
 
 # ---------------------------------------------------------------------------

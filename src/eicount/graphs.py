@@ -8,6 +8,7 @@ Vertices are the dense integers ``0 .. n-1``; an edge is the sorted pair
 from __future__ import annotations
 
 import itertools
+from math import factorial, perm
 
 from .config import CapExceeded, charge, left
 
@@ -214,6 +215,8 @@ def quotient(h: Graph, blocks):
 # pattern constructors
 
 def _path(k):
+    if k < 1:
+        raise ValueError("paths need k >= 1")
     return Graph(k + 1, [(i, i + 1) for i in range(k)])
 
 
@@ -232,6 +235,8 @@ def _biclique(a, b):
 
 
 def _matching(k):
+    if k < 0:
+        raise ValueError("k must be >= 0")
     return Graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
 
 
@@ -361,6 +366,32 @@ def make_pattern(kind: str, *params: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
+# quantities as pattern queries
+
+# quantity -> (pattern built from k, or None for the given one; map kind;
+# divisor of the map count, |Aut| of the built pattern as a function of k)
+QUERIES = {
+    "hom": (None, "hom", None),
+    "emb": (None, "emb", None),
+    "edginj": (None, "edginj", None),
+    "wedginj": (None, "wedginj", None),
+    "matchings": (_matching, "emb", lambda k: 2 ** k * factorial(k)),
+    "ec-cycles": (_cycle, "edginj", lambda k: 2 * k),
+    "ec-paths": (_path, "edginj", lambda k: 2),
+    "cycles": (_cycle, "emb", lambda k: 2 * k),
+}
+
+# counter -> map kind -> the "module.function" that counts those maps
+COUNTERS = {
+    "oracle": {"hom": "oracles.count_hom", "emb": "oracles.count_emb",
+               "edginj": "oracles.count_edginj",
+               "wedginj": "oracles.count_edginj_weighted"},
+    "poly": {"emb": "eihom.count_emb_small_vc",
+             "edginj": "eihom.count_edginj_poly"},
+}
+
+
+# ---------------------------------------------------------------------------
 # structural transformations
 
 def line_graph(g: Graph) -> Graph:
@@ -414,6 +445,13 @@ def isolated_parts(g: Graph):
     pairs = [v for v, m in enumerate(masks)
              if m.bit_count() == 1 and masks[m.bit_length() - 1] == 1 << v]
     return isolated, pairs
+
+
+def isolated_edge_factor(g: Graph, core: Graph, count: int) -> int:
+    """Edge-injective maps of ``count`` isolated edges into g beside a core:
+    the j-th, for j = 0, 1, ..., takes one of the 2(|E(g)| - |E(core)| - j)
+    oriented host edges left, clamped at 0."""
+    return 2 ** count * perm(max(0, g.m - core.m), count)
 
 
 def minimum_vertex_cover(g: Graph, limit=None):

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from importlib import import_module
 from math import perm
 
 from ._backend import run_kernel
 from ._kernels_py import MODE_EDGINJ, MODE_EMB, MODE_HOM
-from .config import charge, left
-from .graphs import Graph, bfs_layers, bits, isolated_parts, make_pattern
+from .config import COVER_BOUND, charge, left
+from .graphs import (COUNTERS, QUERIES, Graph, bfs_layers, bits,
+                     isolated_edge_factor, isolated_parts)
 
 
 # `eicount verify all` runs 194 searches over 23 distinct patterns, so the
@@ -87,9 +89,9 @@ def _peeled_factor(h: Graph, g: Graph, mode: int, weighted: bool):
     factor times the count of the rest.  An isolated vertex has no edge to
     collide with, so it adds a factor n, or under embeddings one of the
     vertices the rest leaves free.  An isolated edge adds 2m under
-    homomorphisms and, unweighted, 2(m - |E(rest)| - j) for the j-th such
-    edge under edge-injective maps, since the rest uses exactly |E(rest)|
-    host edges; weighted or vertex-injective, its count depends on where the
+    homomorphisms and, unweighted, :func:`graphs.isolated_edge_factor`
+    under edge-injective maps, since the rest uses exactly |E(rest)| host
+    edges; weighted or vertex-injective, its count depends on where the
     rest lands, so it stays in the search."""
     isolated, pairs = isolated_parts(h)
     if not (mode == MODE_HOM or (mode == MODE_EDGINJ and not weighted)):
@@ -97,12 +99,11 @@ def _peeled_factor(h: Graph, g: Graph, mode: int, weighted: bool):
     if isolated or pairs:
         h = h.remove_vertices(isolated + pairs)
     if mode == MODE_EMB:
-        factor = perm(g.n - h.n, len(isolated)) if h.n <= g.n else 0
-    else:
-        factor = g.n ** len(isolated)
-    for j in range(len(pairs) // 2):
-        factor *= 2 * g.m if mode == MODE_HOM else max(0, 2 * (g.m - h.m - j))
-    return h, factor
+        return h, perm(g.n - h.n, len(isolated)) if h.n <= g.n else 0
+    factor = g.n ** len(isolated)
+    if mode == MODE_HOM:
+        return h, factor * (2 * g.m) ** (len(pairs) // 2)
+    return h, factor * isolated_edge_factor(g, h, len(pairs) // 2)
 
 
 def _count_maps(h: Graph, g: Graph, mode: int, weighted: bool = False) -> int:
@@ -243,32 +244,26 @@ def count_odd_edge_sets_enum(g: Graph, by_cardinality: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# derived counts
+# quantities as pattern queries
 
-def count_edge_disjoint(g: Graph, k: int, kind: str) -> int:
-    """Edge-disjoint k-cycles (closed walks with distinct edges, unrooted and
-    unoriented) or k-paths, via the edge-injective oracle."""
+def count_query(quantity: str, host: Graph, k=None, pattern=None,
+                algo="oracle", bound: int = COVER_BOUND) -> int:
+    """The quantity of ``graphs.QUERIES`` on ``host``: the maps of its kind
+    from its pattern (``pattern``, or the one built from k), counted by the
+    counter ``algo`` looked up at call time, divided exactly by its divisor,
+    their orbit size, so a wrong count raises ArithmeticError."""
+    build, kind, divisor = QUERIES[quantity]
+    if build is not None:
+        pattern = build(k)
+    module, name = COUNTERS[algo][kind].split(".")
+    count = getattr(import_module(f"{__package__}.{module}"), name)
+    value = (count(pattern, host, bound=bound) if algo == "poly"
+             else count(pattern, host))
+    if divisor is None:
+        return value
     from .exact import exact_quotient
-    if kind == "cycle":
-        if k < 3:
-            raise ValueError("cycles need k >= 3")
-        return exact_quotient(count_edginj(make_pattern("C", k), g), 2 * k,
-                              "cycle orbit size must divide exactly")
-    if kind == "path":
-        if k < 1:
-            raise ValueError("paths need k >= 1")
-        return exact_quotient(count_edginj(make_pattern("P", k), g), 2,
-                              "path orbit size must divide exactly")
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def count_simple_cycles(g: Graph, k: int) -> int:
-    """Simple (vertex-distinct) k-cycles, via the embedding oracle."""
-    from .exact import exact_quotient
-    if k < 3:
-        raise ValueError("cycles need k >= 3")
-    return exact_quotient(count_emb(make_pattern("C", k), g), 2 * k,
-                          "cycle orbit size must divide exactly")
+    return exact_quotient(value, divisor(k),
+                          f"{quantity} orbit size must divide exactly")
 
 
 # ---------------------------------------------------------------------------

@@ -261,14 +261,14 @@ def suite_cycle_gadget():
                 reductions.min_weighted_edge_separation(gb, weighted_edges) >= 5))
     out.append(("cycle-gadget/k4-k3",
                 reductions.count_simple_cycles_via_gadget(k4, 3)
-                == oracles.count_simple_cycles(k4, 3)))
+                == oracles.count_query("cycles", k4, 3)))
     c5 = make_pattern("C", 5)
     out.append(("cycle-gadget/c5-k3",
                 reductions.count_simple_cycles_via_gadget(c5, 3) == 0))
     diamond = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     out.append(("cycle-gadget/diamond-k3",
                 reductions.count_simple_cycles_via_gadget(diamond, 3)
-                == oracles.count_simple_cycles(diamond, 3)))
+                == oracles.count_query("cycles", diamond, 3)))
     return out
 
 
@@ -302,14 +302,14 @@ def suite_ec_paths():
     k4 = make_pattern("K", 4)
     out.append(("ec-paths/k4-k3",
                 reductions.ec_cycles_via_paths(k4, 3)
-                == oracles.count_edge_disjoint(k4, 3, "cycle")))
+                == oracles.count_query("ec-cycles", k4, 3)))
     c5 = make_pattern("C", 5)
     out.append(("ec-paths/c5-k5", reductions.ec_cycles_via_paths(c5, 5) == 1))
     for i in range(5):
         g = _random_graph(rng, rng.randrange(4, 7), 0.6)
         k = rng.choice([3, 4, 5])
         got = reductions.ec_cycles_via_paths(g, k)
-        want = oracles.count_edge_disjoint(g, k, "cycle")
+        want = oracles.count_query("ec-cycles", g, k)
         out.append((f"ec-paths/rand{i}-k{k}", got == want))
     return out
 

@@ -282,6 +282,7 @@ class TestCount:
         "odd-edge-sets": ["--host", "builtin:K,4"],
         "ec-cycles": ["--host", "builtin:K,4", "--k", "3"],
         "ec-paths": ["--host", "builtin:K,4", "--k", "2"],
+        "cycles": ["--host", "builtin:K,4", "--k", "3"],
     }
 
     @pytest.mark.parametrize("quantity,algo", [
@@ -301,9 +302,10 @@ class TestCount:
     @pytest.mark.parametrize("quantity,algo", [
         ("hom", "pipeline:bogus"), ("emb", "pipeline:line"),
         ("edginj", "nonsense"), ("wedginj", "poly"),
-        ("matchings", "poly"), ("colmatch", "poly"),
+        ("matchings", "pipeline:gadget"), ("colmatch", "poly"),
         ("perfmatch", "pipeline:wedges"), ("odd-edge-sets", "whatever"),
-        ("ec-cycles", "poly"), ("ec-paths", "poly")])
+        ("ec-cycles", "pipeline:wedges"), ("ec-paths", "pipeline:paths"),
+        ("cycles", "pipeline:paths")])
     def test_inapplicable_algo(self, capsys, quantity, algo):
         code, out, err = run_cli(capsys, "count", quantity,
                                  "--pattern", "builtin:P,2",
@@ -312,6 +314,18 @@ class TestCount:
         assert code == 2 and out == ""
         assert f"unknown algo {algo!r} for {quantity}" in err
         assert "oracle" in err
+
+
+    @pytest.mark.parametrize("quantity,k,message", [
+        ("matchings", "-1", "k must be >= 0"),
+        ("ec-cycles", "2", "cycles need k >= 3"),
+        ("ec-paths", "0", "paths need k >= 1"),
+        ("cycles", "2", "cycles need k >= 3")])
+    @pytest.mark.parametrize("algo", ["oracle", "poly"])
+    def test_k_out_of_range(self, capsys, quantity, k, message, algo):
+        code, out, err = run_cli(capsys, "count", quantity, "--algo", algo,
+                                 "--host", "builtin:K,4", "--k", k)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestGen:

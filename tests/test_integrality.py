@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from eicount import _kernels_py, holant, oracles, reductions
+from eicount import _kernels_py, eihom, holant, oracles, reductions
 from eicount.config import CapExceeded
 from eicount.graphs import Graph, make_pattern
 
@@ -133,18 +133,28 @@ def test_ec_cycles_via_paths(monkeypatch):
 def test_edge_disjoint_orbits(monkeypatch, kind, k):
     skew_first_call(monkeypatch, oracles, "count_edginj")
     with pytest.raises(ArithmeticError, match="orbit size"):
-        oracles.count_edge_disjoint(K4, k, kind)
+        oracles.count_query(f"ec-{kind}s", K4, k)
 
 
 def test_simple_cycle_orbits(monkeypatch):
     skew_first_call(monkeypatch, oracles, "count_emb")
     with pytest.raises(ArithmeticError, match="orbit size"):
-        oracles.count_simple_cycles(K4, 3)
+        oracles.count_query("cycles", K4, 3)
+
+
+@pytest.mark.parametrize("quantity,k,counter", [
+    ("matchings", 2, "count_emb_small_vc"), ("ec-cycles", 3, "count_edginj_poly"),
+    ("ec-paths", 2, "count_edginj_poly"), ("cycles", 3, "count_emb_small_vc")])
+def test_poly_orbits(monkeypatch, quantity, k, counter):
+    # count_query looks the counter up at call time, so the skew reaches it
+    skew_first_call(monkeypatch, eihom, counter)
+    with pytest.raises(ArithmeticError, match="orbit size"):
+        oracles.count_query(quantity, K4, k, algo="poly")
 
 
 @pytest.mark.parametrize("pipeline", [
-    lambda: oracles.count_edge_disjoint(K4, 3, "cycle"),
-    lambda: oracles.count_simple_cycles(K4, 3),
+    lambda: oracles.count_query("ec-cycles", K4, 3),
+    lambda: oracles.count_query("cycles", K4, 3),
     lambda: reductions.count_simple_cycles_via_gadget(K4, 3)])
 def test_rooted_cycle_count_off_by_one(monkeypatch, pipeline):
     # the rooted search counts each orbit of C_L once per orientation of

@@ -612,11 +612,11 @@ class TestOddEdgeSets:
 
 class TestDerived:
     def test_edge_disjoint_cycles(self):
-        assert O.count_edge_disjoint(K4, 3, "cycle") == 4
-        assert O.count_edge_disjoint(K3, 4, "cycle") == 0
+        assert O.count_query("ec-cycles", K4, 3) == 4
+        assert O.count_query("ec-cycles", K3, 4) == 0
 
     def test_edge_disjoint_paths(self):
-        assert O.count_edge_disjoint(K3, 2, "path") == 3
+        assert O.count_query("ec-paths", K3, 2) == 3
 
     def test_partition_sum_examples(self):
         assert count_edginj_via_partition_sum(K2, K4) == 2 * K4.m

@@ -257,7 +257,7 @@ class TestCycleGadget:
     def test_diamond(self):
         diamond = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
         assert count_simple_cycles_via_gadget(diamond, 3) == \
-            O.count_simple_cycles(diamond, 3)
+            O.count_query("cycles", diamond, 3)
 
     @staticmethod
     def assert_interpolates(g, k):
@@ -291,7 +291,7 @@ class TestCycleGadget:
         k5 = make_pattern("K", 5)
         self.assert_interpolates(k5, 4)
         assert count_simple_cycles_via_gadget(k5, 4) == \
-            O.count_simple_cycles(k5, 4) == 15
+            O.count_query("cycles", k5, 4) == 15
 
 
 class TestWeightedCycleIdentity:
@@ -394,7 +394,7 @@ class TestEcPaths:
     def test_k_outside_validated_range_rejected(self):
         # on K5 the probe assembly gives 36 instead of 30 for k = 6
         k5 = make_pattern("K", 5)
-        assert O.count_edge_disjoint(k5, 6, "cycle") == 30
+        assert O.count_query("ec-cycles", k5, 6) == 30
         for k in (2, 6, 7):
             with pytest.raises(ValueError):
                 ec_cycles_via_paths(k5, k)
@@ -407,4 +407,4 @@ class TestEcPaths:
                           if rng.random() < 0.6])
             k = rng.choice([3, 4, 5])
             assert ec_cycles_via_paths(g, k) == \
-                O.count_edge_disjoint(g, k, "cycle")
+                O.count_query("ec-cycles", g, k)
