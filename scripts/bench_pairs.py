@@ -10,7 +10,9 @@ odd pairs and the change first on the even ones, and writes
 ``BENCH_<workload>.json`` (``--out`` to change it) with both checkouts'
 commit and source digest, the seeds and the order, every pair's metrics,
 each side's median and quartiles, how many pairs the change won per metric
-and the bytecode-cache state of each run.
+and the bytecode-cache state of each run.  The reports already in that file
+move to its ``history`` list, oldest first, one per parent commit: a new
+report replaces an earlier one measured against the same parent.
 
 Before every run the ``__pycache__`` directories under the checkout's
 ``src/`` are removed and the run gets ``PYTHONDONTWRITEBYTECODE=1``, so
@@ -84,6 +86,20 @@ def summary(xs):
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def write_report(report, out: Path):
+    """Write ``report`` to ``out``, keeping the reports already there in its
+    ``history``, less any measured against the same parent commit."""
+    history = []
+    if out.exists():
+        old = json.loads(out.read_text())
+        history = old.pop("history", []) + [old]
+        parent = report["checkouts"]["parent"]["sha"]
+        if parent is not None:
+            history = [r for r in history
+                       if r["checkouts"]["parent"]["sha"] != parent]
+    out.write_text(json.dumps({**report, "history": history}, indent=1) + "\n")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -128,7 +144,7 @@ def main(argv=None):
               "checkouts": {side: describe(path) for side, path in sides.items()},
               "metrics": metrics, "pairs": pairs}
     out = args.out or sides["change"] / f"BENCH_{args.workload}.json"
-    out.write_text(json.dumps(report, indent=1) + "\n")
+    write_report(report, out)
     for name, m in metrics.items():
         print(f"{name}: parent {m['parent']['median']:.6g} "
               f"(IQR {m['parent']['iqr']:.3g})  change {m['change']['median']:.6g}  "

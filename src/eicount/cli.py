@@ -27,13 +27,13 @@ import argparse
 import sys
 
 import eicount as pkg
-from .config import COVER_BOUND, CapExceeded, meter
+from .config import CapExceeded, meter
 from .graphs import (COUNTERS, QUERIES, Graph, make_pattern, parse_graph,
                      serialize_graph)
 
 
 def _query(q, algo):
-    return lambda p, h, a: pkg.oracles.count_query(q, h, a.k, p, algo, a.bound)
+    return lambda p, h, a: pkg.oracles.count_query(q, h, a.k, p, algo)
 
 
 # quantity -> {algo: count(pattern, host, args)}: each query under each
@@ -150,9 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="oracle | poly | pipeline:<name> (default oracle)")
     c.add_argument("--ell", type=int, default=2,
                    help="collar length for pipeline:line (default 2)")
-    c.add_argument("--bound", type=int, default=COVER_BOUND,
-                   help="pattern cover bound for --algo poly of a pattern "
-                        f"query (default {COVER_BOUND})")
     c.add_argument("--format", choices=("text", "json"), default="text")
 
     g = sub.add_parser("gen", help="emit a builtin pattern graph")

@@ -1,13 +1,13 @@
-"""Work caps for every exponential search, and the default cover bound.
+"""Work caps for every exponential search.
 
-The oracles, the vertex-cover search behind ``eihom`` and the Holant
-enumeration are exact but exponential.  Each charges the work it does, in
-its own unit, to one of the caps below through :func:`charge`, and a charge
-that takes a cap's total past its limit raises :class:`CapExceeded` instead
-of running on.  Inside a :func:`meter` the charges of every search are
-summed per cap, so a pipeline of many searches shares one budget; the CLI
-runs each command inside one meter.  Outside a meter each charge stands
-alone, so a library call is bounded per search.
+The oracles, the searches of ``eihom`` and the Holant enumeration are
+exact but exponential.  Each charges the work it does, in its own unit, to
+one of the caps below through :func:`charge`, and a charge that takes a
+cap's total past its limit raises :class:`CapExceeded` instead of running
+on.  Inside a :func:`meter` the charges of every search are summed per
+cap, so a pipeline of many searches shares one budget; the CLI runs each
+command inside one meter.  Outside a meter each charge stands alone, so a
+library call is bounded per search.
 
 Every cap can be overridden through an environment variable
 ``EICOUNT_<NAME>`` holding an integer, e.g. ``EICOUNT_ISO_CAP=10``.
@@ -30,9 +30,11 @@ _DEFAULTS = {
     # 110 MB (a random cubic graph on 120 vertices, Python 3.11), while the
     # 162-vertex collar encoding of the prism needs 1,700
     "PERFMATCH_CAP": 10**6,
-    # max candidate images the hom/emb/edginj map search tries, or edges the
-    # matching enumerations try, summed over their nodes; at roughly 10^6
-    # per second, 10^7 take about 10 s
+    # max candidate images the hom/emb/edginj map search tries, edges the
+    # matching enumerations try, or steps the eihom searches take (host
+    # vertices tried and classes split by the cover placement, sub-partition
+    # and allocation nodes, occupancy slots), summed over their nodes; at
+    # roughly 10^6 per second, 10^7 take about 10 s
     "SEARCH_VOLUME_CAP": 10**7,
     # max search nodes of the brute-force isomorphism test; two random
     # 3-regular graphs on 24 to 96 vertices take about 400,000 per second
@@ -42,13 +44,10 @@ _DEFAULTS = {
     "HOLANT_CAP": 2 * 10**6,
 }
 
-# the weak vertex-cover number the polynomial routes accept by default
-COVER_BOUND = 3
-
 
 class CapExceeded(Exception):
-    """A search was asked for more work than its cap allows, or an input
-    lies beyond a bound the algorithm needs."""
+    """A search was asked for more work than its cap allows, or
+    ``eihom.count_edginj_poly`` for a pattern past its cover bound."""
 
 
 # cap name -> work charged to it in the open meter; None outside a meter

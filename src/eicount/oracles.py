@@ -16,7 +16,7 @@ from math import perm
 
 from ._backend import run_kernel
 from ._kernels_py import MODE_EDGINJ, MODE_EMB, MODE_HOM
-from .config import COVER_BOUND, charge, left
+from .config import charge, left
 from .graphs import (COUNTERS, QUERIES, Graph, bfs_layers, bits,
                      isolated_edge_factor, isolated_parts)
 
@@ -247,7 +247,7 @@ def count_odd_edge_sets_enum(g: Graph, by_cardinality: bool = False):
 # quantities as pattern queries
 
 def count_query(quantity: str, host: Graph, k=None, pattern=None,
-                algo="oracle", bound: int = COVER_BOUND) -> int:
+                algo="oracle") -> int:
     """The quantity of ``graphs.QUERIES`` on ``host``: the maps of its kind
     from its pattern (``pattern``, or the one built from k), counted by the
     counter ``algo`` looked up at call time, divided exactly by its divisor,
@@ -255,10 +255,13 @@ def count_query(quantity: str, host: Graph, k=None, pattern=None,
     build, kind, divisor = QUERIES[quantity]
     if build is not None:
         pattern = build(k)
+    if kind not in COUNTERS[algo]:
+        by = ", ".join(a for a, kinds in COUNTERS.items() if kind in kinds)
+        raise ValueError(f"the {algo} counter counts no {kind} maps; "
+                         f"{kind} maps are counted by {by}")
     module, name = COUNTERS[algo][kind].split(".")
     count = getattr(import_module(f"{__package__}.{module}"), name)
-    value = (count(pattern, host, bound=bound) if algo == "poly"
-             else count(pattern, host))
+    value = count(pattern, host)
     if divisor is None:
         return value
     from .exact import exact_quotient

@@ -365,7 +365,7 @@ def cycle_gadget_polynomial(g: Graph, k: int) -> Polynomial:
     in ``build_cycle_gadget(g, b)`` divided by 12k, from one weighted count
     at b = 2^s (see :func:`count_simple_cycles_via_gadget`)."""
     if k < 3:
-        raise ValueError("k must be >= 3")
+        raise ValueError("cycles need k >= 3")
     n_gadget = 4 * g.n + 4 * g.m
     s = (n_gadget ** (6 * k)).bit_length()
     gb, _ = build_cycle_gadget(g, 1 << s)

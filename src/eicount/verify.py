@@ -13,7 +13,6 @@ import random
 from math import comb, factorial
 
 from . import eihom, holant, linegraphs, oracles, reductions
-from .config import COVER_BOUND
 from .exact import falling_factorial
 from .graphs import (Graph, line_graph, make_pattern, subdivide,
                      vertex_cover_number, weight_gadget)
@@ -323,7 +322,7 @@ def suite_eihom_poly():
         trial += 1
         h = _random_graph(rng, rng.randrange(1, 7), 0.4)
         g = _random_graph(rng, rng.randrange(1, 8), 0.5)
-        if vertex_cover_number(h, weak=True) > COVER_BOUND:
+        if vertex_cover_number(h, weak=True) > eihom.COVER_BOUND:
             continue
         got = eihom.count_edginj_poly(h, g)
         want = oracles.count_edginj(h, g)

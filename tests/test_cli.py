@@ -147,22 +147,31 @@ class TestCount:
         assert (code, out) == (0, "0\n")
 
     def test_cover_cap_exit_code(self, capsys, monkeypatch):
-        # at bound 6 the search reaches size 5, past 1 + 12 + 66 + 220 + 495
-        # subsets of K_{6,6}'s 12 vertices
+        # the search reaches size 5, past 1 + 12 + 66 + 220 + 495 subsets
+        # of K_{6,6}'s 12 vertices
         monkeypatch.setenv("EICOUNT_VERTEX_COVER_CAP", "1000")
         code, out, err = run_cli(capsys, "count", "edginj", "--algo", "poly",
                                  "--pattern", "builtin:Kab,6,6",
-                                 "--host", "builtin:K,5", "--bound", "6")
+                                 "--host", "builtin:K,5")
         assert (code, out) == (3, "") and "VERTEX_COVER_CAP" in err
 
-    def test_bound_stops_the_cover_search(self, capsys, monkeypatch):
+    def test_cover_cap_stops_the_cover_search(self, capsys, monkeypatch):
         # the 1 + 24 + 276 + 2,024 subsets of K_{12,12}'s 24 vertices up to
-        # the default bound 3 hold no cover, and the search stops there
+        # size 3 hold no cover, and the search runs on to the cap
         monkeypatch.setenv("EICOUNT_VERTEX_COVER_CAP", "2325")
         code, out, err = run_cli(capsys, "count", "edginj", "--algo", "poly",
                                  "--pattern", "builtin:Kab,12,12",
                                  "--host", "builtin:K,5")
-        assert (code, out) == (3, "") and "exceeds bound 3" in err
+        assert (code, out) == (3, "")
+        assert "VERTEX_COVER_CAP: 2326 subsets exceed cap 2325" in err
+
+    def test_poly_matchings_are_charged(self, capsys, monkeypatch):
+        # 3K2 has cover 3, so the placement tries some 100^3 host triples;
+        # it answers 152,096, and a lowered cap stops it
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "1000")
+        code, out, err = run_cli(capsys, "count", "matchings", "--algo", "poly",
+                                 "--host", "builtin:P,100", "--k", "3")
+        assert (code, out) == (3, "") and "SEARCH_VOLUME_CAP" in err
 
     def test_pipeline_searches_share_one_budget(self, capsys, monkeypatch):
         # 16 searches try 2,912 images in all, none more than 774
@@ -211,20 +220,24 @@ class TestCount:
         code, out, err = run_cli(capsys, "count", "matchings", *argv)
         assert (code, out) == (3, "") and "SEARCH_VOLUME_CAP" in err
 
-    @pytest.mark.parametrize("bound,code,want", [("2", 3, ""), ("4", 0, "720\n")])
-    def test_bound_reaches_emb_poly(self, capsys, bound, code, want):
+    def test_emb_poly_needs_no_bound(self, capsys):
+        # K_5 has cover 4; only the work caps stop the embedding count
         got = run_cli(capsys, "count", "emb", "--algo", "poly",
-                      "--pattern", "builtin:K,5", "--host", "builtin:K,6",
-                      "--bound", bound)
-        assert got[:2] == (code, want)
+                      "--pattern", "builtin:K,5", "--host", "builtin:K,6")
+        assert got[:2] == (0, "720\n")
 
     @pytest.mark.parametrize("quantity", ["emb", "edginj"])
     def test_negative_bound_is_bad_input(self, capsys, quantity):
-        code, out, err = run_cli(capsys, "count", quantity, "--algo", "poly",
-                                 "--pattern", "builtin:P,2",
-                                 "--host", "builtin:K,3", "--bound", "-1")
-        assert (code, out) == (2, "")
-        assert err == "error: cover bound must be >= 0, got -1\n"
+        # there is no --bound option, so any bound is a usage error
+        with pytest.raises(SystemExit) as exit_:
+            main(["count", quantity, "--algo", "poly", "--pattern",
+                  "builtin:P,2", "--host", "builtin:K,3", "--bound", "-1"])
+        out = capsys.readouterr()
+        assert (exit_.value.code, out.out) == (2, "")
+        assert "unrecognized arguments: --bound -1" in out.err
+        with pytest.raises(SystemExit):
+            main(["count", "--help"])
+        assert "--bound" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("algo", ["oracle", "pipeline:wedges",
                                       "pipeline:apex", "pipeline:star"])
@@ -326,6 +339,12 @@ class TestCount:
         code, out, err = run_cli(capsys, "count", quantity, "--algo", algo,
                                  "--host", "builtin:K,4", "--k", k)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_short_cycles_rejected_alike(self, capsys):
+        got = {algo: run_cli(capsys, "count", "cycles", "--algo", algo,
+                             "--host", "builtin:K,4", "--k", "2")
+               for algo in ("oracle", "poly", "pipeline:gadget")}
+        assert set(got.values()) == {(2, "", "error: cycles need k >= 3\n")}
 
 
 class TestGen:

@@ -8,7 +8,8 @@ import pytest
 
 from eicount import eihom
 from eicount import oracles as O
-from eicount.config import CapExceeded
+from eicount import config
+from eicount.config import CapExceeded, meter
 from eicount.eihom import (build_representative, class_size,
                            count_edginj_poly, count_emb_small_vc,
                            enumerate_classes, free_colors, realized_classes,
@@ -61,6 +62,22 @@ def brute_classes(h, cover):
             blocks, alloc = class_of(h, cover, partition)
             classes[blocks, frozenset(alloc.items())] += 1
     return classes
+
+
+def steps():
+    """A step counter for calling an eihom search directly, larger than any
+    test input needs."""
+    return [10**9] * 2
+
+
+def wide_pattern():
+    """Cover vertices 0..6, pairwise non-adjacent, and 24 free vertices, one
+    per neighbourhood {i} and one for each of the first 17 pairs {i, j}:
+    weak vertex-cover number 7, and 24 colors and 1,295 betas in the
+    trivial sub-partition."""
+    nbhds = ([(i,) for i in range(7)]
+             + list(itertools.combinations(range(7), 2))[:17])
+    return Graph(31, [(i, 7 + j) for j, nb in enumerate(nbhds) for i in nb])
 
 
 def seeded_host():
@@ -266,8 +283,10 @@ class TestEmbSmallVc:
             assert count_emb_small_vc(f, g) == O.count_emb(f, g)
 
     def test_cover_bound(self):
-        with pytest.raises(CapExceeded):
-            count_emb_small_vc(make_pattern("K", 6), make_pattern("K", 7), bound=2)
+        # no bound on the cover: K_6 (cover 5) into K_7 answers, and only
+        # the work cap stops the placement
+        assert count_emb_small_vc(make_pattern("K", 6),
+                                  make_pattern("K", 7)) == perm(7, 6)
 
     def test_masks_read_once_per_call(self, monkeypatch):
         # the placement reads bound mask tuples, so the number of
@@ -319,9 +338,9 @@ class TestEmbSmallVc:
             leaves.append(1)
             return leaf(*args)
 
-        def counted_profile(profile, mults):
+        def counted_profile(profile, mults, work):
             profiles.append(profile)
-            return count_profile(profile, mults)
+            return count_profile(profile, mults, work)
 
         monkeypatch.setattr(eihom, "_independent_count", counted_leaf)
         monkeypatch.setattr(eihom, "_count_profile", counted_profile)
@@ -373,7 +392,7 @@ class TestIndependentCount:
         ([], [], 5, 1)])                    # no classes
     def test_cases(self, cand_sets, mults, n, answer):
         assert brute_independent_count(cand_sets, mults, n) == answer
-        assert eihom._independent_count(cand_sets, mults, {}) == answer
+        assert eihom._independent_count(cand_sets, mults, {}, steps()) == answer
 
     def test_random_masks_against_brute_force(self):
         rng = random.Random(12)
@@ -382,7 +401,7 @@ class TestIndependentCount:
             k = rng.randrange(0, 4)
             cand_sets = [rng.getrandbits(n) for _ in range(k)]
             mults = [rng.randrange(1, 4) for _ in range(k)]
-            assert eihom._independent_count(cand_sets, mults, {}) == \
+            assert eihom._independent_count(cand_sets, mults, {}, steps()) == \
                 brute_independent_count(cand_sets, mults, n)
 
     @staticmethod
@@ -451,8 +470,9 @@ class TestCountEdginjPoly:
                 assert count_edginj_poly(h, g) == O.count_edginj(h, g)
 
     def test_bound_enforced(self):
-        with pytest.raises(CapExceeded):
-            count_edginj_poly(make_pattern("K", 6), K4, bound=2)
+        with pytest.raises(CapExceeded, match="weak vertex-cover number 5 "
+                                              "exceeds the bound 3"):
+            count_edginj_poly(make_pattern("K", 6), K4)
 
     def test_large_star(self):
         # 41 vertices, cover {0}: the center goes to the host's center and
@@ -464,8 +484,9 @@ class TestCountEdginjPoly:
     @pytest.mark.parametrize("h", [Graph(0, []), make_pattern("kK2", 2),
                                    make_pattern("K", 6)])
     def test_negative_bound_rejected_first(self, count, h):
-        # even where the bound would never be compared with a cover
-        with pytest.raises(ValueError, match="cover bound must be >= 0"):
+        # neither counter takes a bound any more, so a caller passing one
+        # is refused before any work
+        with pytest.raises(TypeError, match="bound"):
             count(h, K4, bound=-1)
 
     def test_random_corpus(self):
@@ -478,6 +499,69 @@ class TestCountEdginjPoly:
                 continue
             assert count_edginj_poly(h, g) == O.count_edginj(h, g)
             done += 1
+
+
+# each eihom search, one small input, its answer and the steps it charges
+# to SEARCH_VOLUME_CAP
+STEPS = {
+    # the centre's 3 host vertices, 3 complete placements of 1 class, and
+    # the 1 slot of their one cell profile
+    "placement": (lambda: count_emb_small_vc(make_pattern("P", 2), K3), 6, 7),
+    # cover [0, 2]: 5 + 5 * 4 host vertices, 6 complete placements of 2
+    # classes, and 5 slots over the distinct cell profiles, one of them not
+    # its class's last cell
+    "occupancy": (lambda: count_emb_small_vc(make_pattern("P", 3),
+                                             make_pattern("P", 4)), 4, 42),
+    # 4 sub-partition nodes (the centre opens a block, each leaf stays
+    # free) and 4 allocation nodes (the root, multiplicities 0, 1 and 2)
+    "classes": (lambda: list(enumerate_classes(make_pattern("P", 2), {1})),
+                [((2,), (((1,), 2),))], 8),
+}
+
+
+class TestSteps:
+    """Every eihom search charges SEARCH_VOLUME_CAP, so the cap, not the
+    pattern's cover number, stops an input that asks too much work."""
+
+    @pytest.mark.parametrize("name", sorted(STEPS))
+    def test_search_passes_at_its_charge(self, monkeypatch, name):
+        run, want, work = STEPS[name]
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", str(work))
+        assert run() == want
+        with meter():
+            run()
+            assert config._spent.get()["SEARCH_VOLUME_CAP"] == work
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", str(work - 1))
+        with pytest.raises(CapExceeded, match=f"exceed cap {work - 1}$"):
+            run()
+
+    def test_class_search_steps_split(self):
+        # P_2 with cover {1}: the sub-partition search pops 4 nodes, and
+        # the allocation search 4 for its one sub-partition
+        h = make_pattern("P", 2)
+        work = steps()
+        assert list(eihom._subpartitions(h.masks, [1, 0, 2], 1, work)) == [(2,)]
+        assert work[1] - work[0] == 4
+        work = steps()
+        assert list(eihom._allocations([(1,)], {1: 2}, work)) == [(((1,), 2),)]
+        assert work[1] - work[0] == 4
+
+    def test_wide_pattern_class_search_is_charged(self, monkeypatch):
+        # the allocation search over the 1,295 betas keeps its own stack,
+        # so it neither passes the recursion limit nor runs on uncharged
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "10000")
+        with pytest.raises(CapExceeded, match="10001 class-search nodes"):
+            list(enumerate_classes(wide_pattern(), range(7)))
+
+    def test_wide_pattern_occupancy_is_charged(self, monkeypatch):
+        # at the first complete placement into G(300, 0.5) the 24 classes
+        # split into hundreds of cells, and the occupancy sum stops at the
+        # cap after some 2,000 placement steps
+        rng = random.Random(3)
+        g = rand_graph(rng, 300, 0.5)
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "100000")
+        with pytest.raises(CapExceeded, match="placement steps"):
+            count_emb_small_vc(wide_pattern(), g)
 
 
 class TestHostPastBit63:

@@ -305,14 +305,13 @@ def test_every_definition_is_reached():
 # its depth; every other search keeps its own stack, so no input passes
 # Python's recursion limit there
 RECURSIVE_BY_DESIGN = {
-    "eihom._place": "one level per cover vertex of the pattern: at most "
-                    "--bound",
-    "eihom._betas": "one level per color of a beta; its colors are disjoint "
-                    "sets of the at most --bound cover blocks",
-    "eihom._allocations": "one level per beta, a tuple of disjoint sets of "
-                          "the at most --bound cover blocks",
-    "eihom._fill": "one level per (class, cell) slot; classes are sets of "
-                   "the at most --bound cover vertices, cells sets of classes",
+    "eihom._place": "one level per cover vertex of the pattern, c of them; "
+                    "the cover search tries at least 2^(c+1) - c - 2 "
+                    "subsets before it finds a cover of size c, so the "
+                    "default VERTEX_COVER_CAP keeps c at most 18",
+    "eihom._betas": "one level per color of a beta, at most the number of "
+                    "blocks, as its colors are disjoint nonempty sets of "
+                    "blocks",
     "reductions.wedge_classification.rec": "one level per wedge; only "
                                            "verify suites reach it, on fixed "
                                            "inputs",

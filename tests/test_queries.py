@@ -12,8 +12,8 @@ import test_eihom
 from eicount import oracles
 from eicount.graphs import COUNTERS, QUERIES, Graph, make_pattern
 
-# k for the rows that build their pattern from it; the poly counters take
-# patterns of cover at most 3 (the default bound): 3K2, P_4 and C_5
+# k for the rows that build their pattern from it, up to patterns of cover
+# 3 (3K2, P_4 and C_5), the bound of the edginj poly counter
 K_RANGE = {"matchings": range(0, 4), "ec-paths": range(1, 5),
            "ec-cycles": range(3, 6), "cycles": range(3, 6)}
 
@@ -76,3 +76,12 @@ def test_cycles_of_a_clique(n):
         want = factorial(n) // (factorial(n - k) * 2 * k)
         for algo in counters("cycles"):
             assert oracles.count_query("cycles", g, k, algo=algo) == want
+
+
+def test_counter_without_the_kind_is_bad_input():
+    # the poly counters count emb and edginj maps, not hom maps
+    with pytest.raises(ValueError, match="^the poly counter counts no hom "
+                                         "maps; hom maps are counted by "
+                                         "oracle$"):
+        oracles.count_query("hom", make_pattern("K", 3),
+                            pattern=make_pattern("P", 2), algo="poly")
