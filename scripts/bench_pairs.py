@@ -9,15 +9,18 @@ checkout and in the change checkout once per seed, the parent first on the
 odd pairs and the change first on the even ones, and writes
 ``BENCH_<workload>.json`` (``--out`` to change it) with both checkouts'
 commit and source digest, the seeds and the order, every pair's metrics,
-each side's median and quartiles, how many pairs the change won per metric
-and the bytecode-cache state of each run.  The reports already in that file
+each side's median and quartiles, how many pairs the change won per metric,
+the bytecode-cache state of each run, and each side's tier-1 test run
+(``TIER1``, once per report, before the pairs): its wall time, exit code
+and pytest's summary line.  The reports already in that file
 move to its ``history`` list, oldest first, one per parent commit: a new
 report replaces an earlier one measured against the same parent.
 
 Before every run the ``__pycache__`` directories under the checkout's
 ``src/`` are removed and the run gets ``PYTHONDONTWRITEBYTECODE=1``, so
-both sides compile eicount from source as a fresh checkout does.  A run
-whose answers are not all correct stops the script.
+both sides compile eicount from source as a fresh checkout does; the
+tier-1 run gets the same.  A run whose answers are not all correct stops
+the script.
 """
 
 from __future__ import annotations
@@ -30,7 +33,12 @@ import shutil
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+# the tier-1 test command of ROADMAP.md, run with the checkout's src/
+# first on PYTHONPATH
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def seed_range(text):
@@ -57,13 +65,36 @@ def describe(checkout: Path):
             "src_sha256": digest.hexdigest()}
 
 
-def run_once(checkout: Path, workload, seed, seconds):
-    """One benchmark run in ``checkout`` from source: its run counts,
-    end-to-end metrics and bytecode-cache state."""
+def clean_env(checkout: Path):
+    """Remove the ``__pycache__`` directories under the checkout's src/ and
+    return how many there were, with the environment of a run that writes
+    none."""
     caches = sorted((checkout / "src").rglob("__pycache__"))
     for cache in caches:
         shutil.rmtree(cache)
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    return len(caches), dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+
+
+def tier1(checkout: Path):
+    """The checkout's tier-1 tests, run once: wall time, exit code and the
+    last line pytest prints (its summary)."""
+    _, env = clean_env(checkout)
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(checkout / "src") + (os.pathsep + path if path
+                                                  else "")
+    start = time.perf_counter()
+    out = subprocess.run(TIER1, cwd=checkout, env=env, capture_output=True,
+                         text=True)
+    wall = time.perf_counter() - start
+    lines = out.stdout.strip().splitlines()
+    return {"wall_s": round(wall, 2), "returncode": out.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
+def run_once(checkout: Path, workload, seed, seconds):
+    """One benchmark run in ``checkout`` from source: its run counts,
+    end-to-end metrics and bytecode-cache state."""
+    removed, env = clean_env(checkout)
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -76,7 +107,7 @@ def run_once(checkout: Path, workload, seed, seconds):
         sys.exit(f"bench_pairs: wrong answers in {checkout}: {result}")
     return {"attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()},
-            "pycache": {"dirs_removed": len(caches),
+            "pycache": {"dirs_removed": removed,
                         "PYTHONDONTWRITEBYTECODE": "1"}}
 
 
@@ -116,6 +147,10 @@ def main(argv=None):
     spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
+    tests = {}
+    for side, path in sides.items():
+        tests[side] = tier1(path)
+        print(f"tier-1 {side}: {tests[side]}", flush=True)
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -142,7 +177,7 @@ def main(argv=None):
               "seeds": args.seeds, "python": sys.version.split()[0],
               "nproc": os.cpu_count(),
               "checkouts": {side: describe(path) for side, path in sides.items()},
-              "metrics": metrics, "pairs": pairs}
+              "tier1": tests, "metrics": metrics, "pairs": pairs}
     out = args.out or sides["change"] / f"BENCH_{args.workload}.json"
     write_report(report, out)
     for name, m in metrics.items():

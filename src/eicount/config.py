@@ -22,8 +22,9 @@ _DEFAULTS = {
     # 2^floor(m/2) for m edges (meet in the middle); 2^12 + 2^12 admits
     # every graph on at most 24 edges
     "EDGE_SUBSET_CAP": 8192,
-    # max candidate subsets the exhaustive vertex-cover search tries; 10^6
-    # take about 1.2 s (K_{12,12}, Python 3.11)
+    # max candidate subsets the exhaustive vertex-cover search tries, or
+    # nodes the search tree for the quotient covers of an eihom plan visits;
+    # 10^6 subsets take about 1.2 s (K_{12,12}, Python 3.11)
     "VERTEX_COVER_CAP": 10**6,
     # max memoised states (unmatched-vertex sets reached, dead ends included)
     # of the perfect-matching counter; 10^6 states take about 10 s and

@@ -16,13 +16,24 @@ cover placement the independent vertices' candidate masks are split into
 the cells of their Venn diagram, and an exact occupancy sum, memoised per
 cell profile in each call, fills them.
 
+Everything but the embedding counts depends on the pattern alone, so
+``count_edginj_poly`` compiles each pattern once into a plan: its numbers of
+isolated vertices and isolated edges, its core, and one term (class size,
+quotient, cover of the quotient) per class.  The plans are cached per
+pattern object (not per content), at most ``PLAN_CACHE_SIZE`` of them, and
+the least recently used goes first.  The blocks that hold core-cover
+vertices cover their quotient, so a quotient has a cover of at most
+``COVER_BOUND`` vertices; a search tree of depth k, for k from a matching's
+size up, finds a minimum one in at most 2^k leaves per k.
+
 The class enumeration and the cover placement charge their steps to
 ``SEARCH_VOLUME_CAP`` as the map search charges its images: a counter
 ``work``, [steps the cap still allows, steps it allowed at the start], is
 counted down and charged on return or when it runs out.  A step is a node
 the sub-partition or allocation search pops, a host vertex a placement
 node tries, a class a complete placement splits, or a slot the occupancy
-sum visits.
+sum visits.  The quotient-cover search charges its nodes to
+``VERTEX_COVER_CAP``.  A cached plan charges nothing again.
 """
 
 from __future__ import annotations
@@ -39,6 +50,14 @@ from .graphs import (Graph, bits, isolated_edge_factor, isolated_parts,
 # bounds its work without it; it stays because the benchmark's test of a
 # failed operation draws that failure from a pattern of weak cover 4
 COVER_BOUND = 3
+
+# the most plans count_edginj_poly keeps: a caller that queries a pattern
+# on many hosts holds few of them, and one-off patterns only pass through
+PLAN_CACHE_SIZE = 64
+
+# id(pattern) -> (pattern, its plan), least recently used first.  An entry
+# holds its pattern, so no other object takes that id while it stays
+_PLANS = {}
 
 
 def reduce_isolated(h: Graph, g: Graph):
@@ -172,13 +191,16 @@ def enumerate_classes(h: Graph, cover):
     charge("SEARCH_VOLUME_CAP", work[1] - work[0], "class-search nodes")
 
 
-def class_size(blocks, alloc, h: Graph) -> int:
+def class_size(blocks, alloc, h: Graph, colors=None) -> int:
     """Number of partitions in the equivalence class (blocks, alloc):
     a product of per-color multinomials for distributing the free vertices
     of each color among the betas containing it, times (mult!)^{|beta|-1}
     per beta for pairing the chosen vertices into blocks.  Returns 0 for
-    inconsistent candidates."""
-    counts = Counter(free_colors(h, blocks).values())
+    inconsistent candidates.  ``colors`` is ``free_colors(h, blocks)`` if
+    the caller has it."""
+    if colors is None:
+        colors = free_colors(h, blocks)
+    counts = Counter(colors.values())
     out = 1
     for beta, mult in alloc:
         used = 0
@@ -195,12 +217,15 @@ def class_size(blocks, alloc, h: Graph) -> int:
     return out
 
 
-def build_representative(blocks, alloc, h: Graph):
+def build_representative(blocks, alloc, h: Graph, colors=None):
     """Greedy construction of one partition in the class; returns its
     quotient graph, or None when the class is empty (vertices run out, are
-    left over, or the quotient is not edge-injective)."""
+    left over, or the quotient is not edge-injective).  ``colors`` is
+    ``free_colors(h, blocks)`` if the caller has it."""
+    if colors is None:
+        colors = free_colors(h, blocks)
     pools = {}
-    for v, k in free_colors(h, blocks).items():
+    for v, k in colors.items():
         pools.setdefault(k, []).append(v)
     parts = [bits(b) for b in blocks]
     for beta, mult in alloc:
@@ -216,12 +241,14 @@ def build_representative(blocks, alloc, h: Graph):
 # ---------------------------------------------------------------------------
 # embedding counter for small-cover patterns
 
-def count_emb_small_vc(f: Graph, g: Graph) -> int:
+def count_emb_small_vc(f: Graph, g: Graph, cover=None) -> int:
     """Embeddings of f into g in host-polynomial time for fixed cover size.
 
-    Enumerates injective edge-preserving images of a minimum cover C' of f;
-    the remaining (independent) vertices are grouped into classes by their
-    required neighborhood in C'.  Each class's candidate mask (the free host
+    Enumerates injective edge-preserving images of a vertex cover C' of f,
+    ``cover`` if given and otherwise a minimum one (a set that is not a
+    vertex cover of f raises ValueError); the remaining (independent)
+    vertices are grouped into classes by their required neighborhood in
+    C'.  Each class's candidate mask (the free host
     vertices adjacent to the images of its whole requirement) is computed
     once, when the last cover vertex of the requirement is placed, and
     passed down; a class without requirement starts from the full mask.
@@ -235,12 +262,19 @@ def count_emb_small_vc(f: Graph, g: Graph) -> int:
     the class's multiplicity is abandoned: deeper cover placements only
     remove vertices from the free set, so it counts zero.
     """
+    fmasks = f.masks
+    if cover is not None:
+        inside = sum(1 << v for v in set(cover))
+        if inside >> f.n or any(fmasks[v] & ~inside for v in range(f.n)
+                                if not inside >> v & 1):
+            raise ValueError(f"{sorted(cover)} is not a vertex cover of the "
+                             f"pattern")
     if f.n == 0:
         return 1
     if f.n > g.n:
         return 0
-    cover = sorted(minimum_vertex_cover(f))
-    fmasks, gmasks = f.masks, g.masks
+    cover = sorted(minimum_vertex_cover(f) if cover is None else set(cover))
+    gmasks = g.masks
     class_sizes = {}
     for v in range(f.n):
         if v not in cover:
@@ -408,31 +442,102 @@ def count_edginj_poly(h: Graph, g: Graph) -> int:
     """Edge-injective homomorphism count via class-collected quotient
     embeddings, polynomial in the host for patterns of bounded weak
     vertex-cover number; a pattern past ``COVER_BOUND`` raises
-    :class:`CapExceeded`."""
-    core, mult = reduce_isolated(h, g)
-    if core.n == 0:
-        return mult
-    cover = minimum_vertex_cover(core)
-    if len(cover) > COVER_BOUND:
-        raise CapExceeded(f"weak vertex-cover number {len(cover)} exceeds "
-                          f"the bound {COVER_BOUND} of count_edginj_poly")
+    :class:`CapExceeded` on every call.  Only the embedding counts read the
+    host: the rest comes from the pattern's plan (see ``_plan``)."""
+    isolated, pairs, core, terms = _plan(h)
     total = 0
-    for _, _, n_class, rep in realized_classes(core, cover):
-        total += n_class * count_emb_small_vc(rep, g)
-    return mult * total
+    for size, f, cover in terms:
+        total += size * count_emb_small_vc(f, g, cover)
+    return g.n ** isolated * isolated_edge_factor(g, core, pairs) * total
 
 
 def realized_classes(h: Graph, cover):
     """The equivalence classes the algorithm sums over, with their sizes and
     the quotient of one representative each.  Yields (blocks, alloc, size,
     quotient graph).  Every enumerated class is nonempty, so an empty one
-    raises rather than being dropped from the sum."""
+    raises rather than being dropped from the sum.  The classes of one
+    sub-partition come one after another, and share its free colors."""
+    colors = last = None
     for blocks, alloc in enumerate_classes(h, cover):
-        size = class_size(blocks, alloc, h)
-        rep = build_representative(blocks, alloc, h)
+        if blocks != last:
+            colors, last = free_colors(h, blocks), blocks
+        size = class_size(blocks, alloc, h, colors)
+        rep = build_representative(blocks, alloc, h, colors)
         if size == 0 or rep is None:
             raise AssertionError(
                 f"enumerated class {blocks} {alloc} is empty "
                 f"(size {size}, representative {rep})")
         yield blocks, alloc, size, rep
 
+
+# ---------------------------------------------------------------------------
+# plans
+
+def _plan(h: Graph):
+    """The plan of h (see ``_compile``): from the cache, where it becomes
+    the most recently used, or compiled and cached, evicting the least
+    recently used plan past ``PLAN_CACHE_SIZE``."""
+    entry = _PLANS.pop(id(h), None)
+    if entry is None or entry[0] is not h:
+        entry = h, _compile(h)
+        if len(_PLANS) >= PLAN_CACHE_SIZE:
+            del _PLANS[next(iter(_PLANS))]
+    _PLANS[id(h)] = entry
+    return entry[1]
+
+
+def _compile(h: Graph):
+    """The plan of h: (isolated vertices, isolated edges, core, terms), with
+    EdgInj(h, G) = |V(G)|^isolated * ``isolated_edge_factor(G, core,
+    isolated edges)`` * the sum over the terms (N, F, cover of F) of N *
+    Emb(F, G).  There is one term per class of the core, and the empty core
+    has the one term (1, core, ()).  A core past ``COVER_BOUND`` raises
+    :class:`CapExceeded`."""
+    isolated, pairs = isolated_parts(h)
+    core = h.remove_vertices(isolated + pairs)
+    if core.n == 0:
+        return len(isolated), len(pairs) // 2, core, ((1, core, ()),)
+    cover = minimum_vertex_cover(core)
+    if len(cover) > COVER_BOUND:
+        raise CapExceeded(f"weak vertex-cover number {len(cover)} exceeds "
+                          f"the bound {COVER_BOUND} of count_edginj_poly")
+    terms = tuple((size, rep, _quotient_cover(rep, len(blocks)))
+                  for blocks, _, size, rep in realized_classes(core, cover))
+    return len(isolated), len(pairs) // 2, core, terms
+
+
+def _quotient_cover(f: Graph, t: int):
+    """A minimum vertex cover of f, increasing, given that f has one of at
+    most t vertices (a quotient's blocks that hold core-cover vertices).
+
+    For k from the size of a greedy maximal matching (each of its edges
+    needs its own cover vertex) up to t, a search tree takes, for an
+    uncovered edge, its end with the most uncovered edges or else the
+    other end, and goes at most k deep, so it has at most 2^k leaves; the
+    first k that finds a cover gives a minimum one.  The search keeps its
+    own stack, and its nodes are charged to ``VERTEX_COVER_CAP``."""
+    masks = f.masks
+    matched = low = 0
+    for v, nb in enumerate(masks):
+        free = nb & ~matched
+        if free and not matched >> v & 1:
+            matched |= 1 << v | free & -free
+            low += 1
+    nodes = 0
+    for k in range(low, t + 1):
+        stack = [(0, k)]  # (the cover so far as a mask, vertices it may add)
+        while stack:
+            chosen, room = stack.pop()
+            nodes += 1
+            best, most = None, 0
+            for v, nb in enumerate(masks):
+                if not chosen >> v & 1 and (nb & ~chosen).bit_count() > most:
+                    best, most = v, (nb & ~chosen).bit_count()
+            if best is None:
+                charge("VERTEX_COVER_CAP", nodes, "cover-search nodes")
+                return tuple(bits(chosen))
+            if room:
+                other = masks[best] & ~chosen
+                stack.append((chosen | other & -other, room - 1))
+                stack.append((chosen | 1 << best, room - 1))  # popped first
+    raise AssertionError(f"{f.edges} has no vertex cover of {t} vertices")

@@ -13,11 +13,19 @@ from math import factorial, perm
 from .config import charge, left
 
 
+# the normalized pairs of vertex ids below 64 made so far, one tuple each:
+# every graph with such an edge holds that one tuple, so a process that
+# keeps many small patterns keeps no tuple per edge of each
+_PAIRS = {}
+
+
 def edge(u: int, v: int) -> tuple[int, int]:
-    """Normalize an unordered vertex pair."""
+    """Normalize an unordered vertex pair; a pair of ids below 64 is the
+    process's one tuple for it."""
     if u == v:
         raise ValueError(f"self-loop at {u}")
-    return (u, v) if u < v else (v, u)
+    e = (u, v) if u < v else (v, u)
+    return _PAIRS.setdefault(e, e) if 0 <= e[0] and e[1] < 64 else e
 
 
 def bits(mask: int):

@@ -254,6 +254,18 @@ class TestClasses:
         assert sum(1 for _ in realized_classes(core, cover)) == candidates
         assert len(calls) == candidates
 
+    def test_free_colors_once_per_sub_partition(self, monkeypatch):
+        # enumerate_classes and realized_classes each color a sub-partition
+        # once, and class_size and build_representative take those colors
+        core = core_of(make_pattern("kP2", 3))
+        cover = minimum_vertex_cover(core)
+        subs = {blocks for blocks, _ in enumerate_classes(core, cover)}
+        calls = []
+        monkeypatch.setattr(eihom, "free_colors", lambda *args: calls.append(
+            1) or free_colors(*args))
+        assert sum(1 for _ in realized_classes(core, cover)) == 544
+        assert len(calls) == 2 * len(subs) < 544
+
     def test_representative_infeasible_when_color_missing(self):
         # SS_2: center 0 covers everything; asking for a color no free
         # vertex has must report an empty class
@@ -281,6 +293,18 @@ class TestEmbSmallVc:
                 continue
             g = rand_graph(rng, rng.randrange(1, 9), 0.5)
             assert count_emb_small_vc(f, g) == O.count_emb(f, g)
+
+    def test_given_cover(self):
+        # any vertex cover gives the count; P_3 is 0-1-2-3
+        p3, g = make_pattern("P", 3), seeded_host()
+        want = O.count_emb(p3, g)
+        for cover in ([1, 2], (0, 2), {1, 3}, [2, 1, 2], range(4)):
+            assert count_emb_small_vc(p3, g, cover) == want
+
+    @pytest.mark.parametrize("cover", [[1], [0, 3], [0, 1, 2, 4], []])
+    def test_given_set_that_is_no_cover_is_refused(self, cover):
+        with pytest.raises(ValueError, match="is not a vertex cover"):
+            count_emb_small_vc(make_pattern("P", 3), K4, cover)
 
     def test_cover_bound(self):
         # no bound on the cover: K_6 (cover 5) into K_7 answers, and only
@@ -440,12 +464,14 @@ class TestNoCyclicGarbage:
 
     @pytest.mark.parametrize("count", [count_edginj_poly, count_emb_small_vc])
     @pytest.mark.parametrize("h", [make_pattern("C", 6), make_pattern("kP2", 2)])
-    def test_count_leaves_no_cycles(self, count, h):
+    def test_count_leaves_no_cycles(self, monkeypatch, count, h):
+        # the second count_edginj_poly call reads the plan the first built
+        monkeypatch.setattr(eihom, "_PLANS", {})
         g = seeded_host()
         gc.collect()
         gc.disable()
         try:
-            assert count(h, g) > 0
+            assert count(h, g) == count(h, g) > 0
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -499,6 +525,156 @@ class TestCountEdginjPoly:
                 continue
             assert count_edginj_poly(h, g) == O.count_edginj(h, g)
             done += 1
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """An empty plan cache for the test, the module's own restored after."""
+    monkeypatch.setattr(eihom, "_PLANS", {})
+    return eihom._PLANS
+
+
+def compiled(monkeypatch):
+    """The patterns whose plans are compiled from now on, in order."""
+    seen = []
+    compile_ = eihom._compile
+    monkeypatch.setattr(eihom, "_compile",
+                        lambda h: seen.append(h) or compile_(h))
+    return seen
+
+
+def covers(cover, f):
+    inside = sum(1 << v for v in cover)
+    return all(not f.masks[v] & ~inside for v in range(f.n)
+               if not inside >> v & 1)
+
+
+class TestPlan:
+    """count_edginj_poly compiles each pattern object once into its plan:
+    isolated vertices, isolated edges, core and one (class size, quotient,
+    quotient cover) term per class."""
+
+    @pytest.mark.parametrize("h", [
+        make_pattern("C", 6), make_pattern("kP2", 3), Graph(3, []),
+        Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (5, 6)])])  # C_4+K_1+K_2
+    def test_hit_answers_as_a_miss(self, plans, monkeypatch, h):
+        seen = compiled(monkeypatch)
+        g = rand_graph(random.Random(17), 9, 0.5)
+        want = O.count_edginj(h, g)
+        assert count_edginj_poly(h, g) == want and id(h) in plans
+        assert count_edginj_poly(h, g) == want
+        assert count_edginj_poly(h, K4) == O.count_edginj(h, K4)
+        assert seen == [h]
+
+    def test_hit_charges_no_class_search_and_no_cover(self, plans,
+                                                     monkeypatch):
+        units = []
+        monkeypatch.setattr(eihom, "charge", lambda name, amount, unit: (
+            units.append(unit), config.charge(name, amount, unit))[1])
+        h, g = make_pattern("kP2", 2), seeded_host()
+        with meter():
+            count_edginj_poly(h, g)
+            spent = dict(config._spent.get())
+            assert spent["VERTEX_COVER_CAP"] > 0
+            assert {"class-search nodes", "cover-search nodes"} <= set(units)
+            units.clear()
+            count_edginj_poly(h, g)
+            again = config._spent.get()
+        assert set(units) == {"placement steps"}
+        assert again["VERTEX_COVER_CAP"] == spent["VERTEX_COVER_CAP"]
+        assert again["SEARCH_VOLUME_CAP"] > spent["SEARCH_VOLUME_CAP"]
+
+    def test_equal_patterns_plan_apart(self, plans, monkeypatch):
+        seen = compiled(monkeypatch)
+        a, b = make_pattern("C", 4), make_pattern("C", 4)
+        assert a == b and a is not b
+        g = seeded_host()
+        assert count_edginj_poly(a, g) == count_edginj_poly(b, g) > 0
+        assert count_edginj_poly(a, g) == count_edginj_poly(b, g)
+        assert len(seen) == 2 and seen[0] is a and seen[1] is b
+
+    def test_cache_is_bounded(self, plans):
+        patterns = [make_pattern("P", 2)
+                    for _ in range(eihom.PLAN_CACHE_SIZE + 5)]
+        for h in patterns:
+            assert count_edginj_poly(h, K4) == 24
+            assert len(plans) <= eihom.PLAN_CACHE_SIZE
+        assert [entry[0] for entry in plans.values()] == patterns[5:]
+        assert all(entry[0] is h for entry, h in zip(plans.values(),
+                                                     patterns[5:]))
+
+    def test_least_recently_used_goes_first(self, plans, monkeypatch):
+        monkeypatch.setattr(eihom, "PLAN_CACHE_SIZE", 3)
+        seen = compiled(monkeypatch)
+        a, b, c, d = (make_pattern("P", 2) for _ in range(4))
+        for h in (a, b, c, a, d, a, b):
+            assert count_edginj_poly(h, K3) == 6
+        # d evicted b, the least recently used, and b came back over c
+        assert [id(h) for h in seen] == [id(h) for h in (a, b, c, d, b)]
+        assert [id(entry[0]) for entry in plans.values()] == \
+            [id(h) for h in (d, a, b)]
+
+    def test_cover_bound_refused_on_every_call(self, plans):
+        h = make_pattern("kP2", 4)  # weak vertex-cover number 4
+        for _ in range(3):
+            with pytest.raises(CapExceeded, match="cover number 4 exceeds"):
+                count_edginj_poly(h, K4)
+        assert not plans
+
+    def test_failed_class_search_is_not_cached(self, plans, monkeypatch):
+        h = make_pattern("kP2", 3)
+        monkeypatch.setenv("EICOUNT_SEARCH_VOLUME_CAP", "100")
+        with pytest.raises(CapExceeded, match="class-search nodes"):
+            count_edginj_poly(h, K4)
+        assert not plans
+        monkeypatch.delenv("EICOUNT_SEARCH_VOLUME_CAP")
+        assert count_edginj_poly(h, K4) == O.count_edginj(h, K4)
+
+    def test_quotient_covers_are_minimum(self):
+        # every labelled graph on at most 5 vertices, and 300 random
+        # patterns on 6 or 7 vertices of weak cover at most 3
+        patterns = [Graph(n, edges) for n in range(6)
+                    for r in range(n * (n - 1) // 2 + 1)
+                    for edges in itertools.combinations(
+                        itertools.combinations(range(n), 2), r)]
+        rng = random.Random(16)
+        while len(patterns) < 1100 + 300:
+            h = rand_graph(rng, rng.randrange(6, 8), rng.choice((0.3, 0.45)))
+            if vertex_cover_number(h, weak=True) <= 3:
+                patterns.append(h)
+        terms, below_core = 0, 0
+        for h in patterns:
+            if vertex_cover_number(h) <= 3:  # a quotient of cover <= 3 itself
+                cover = eihom._quotient_cover(h, 3)
+                assert covers(cover, h)
+                assert len(cover) == vertex_cover_number(h)
+            if vertex_cover_number(h, weak=True) > 3:
+                continue
+            _, _, core, plan = eihom._compile(h)
+            for _, f, cover in plan:
+                assert covers(cover, f)
+                assert len(cover) == len(minimum_vertex_cover(f))
+                terms += 1
+                below_core += len(cover) < vertex_cover_number(core)
+        # some quotients need fewer cover vertices than the core
+        assert terms > 2000 and below_core > 0
+
+    def test_quotient_cover_deepens_past_the_first_path(self):
+        # 0 has the most uncovered edges (ties go low), but the one cover
+        # of 2 vertices is {1, 2}; the search at depth 3 would take 0
+        f = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 4)])
+        assert eihom._quotient_cover(f, 3) == (1, 2)
+
+    def test_quotient_cover_search_is_charged(self, monkeypatch):
+        # P_3 at t = 2: the matching {01, 23} gives k = 2; the root takes
+        # vertex 1, its child vertex 2, and that covers every edge
+        p3 = make_pattern("P", 3)
+        with meter():
+            assert eihom._quotient_cover(p3, 2) == (1, 2)
+            assert config._spent.get() == {"VERTEX_COVER_CAP": 3}
+        monkeypatch.setenv("EICOUNT_VERTEX_COVER_CAP", "2")
+        with pytest.raises(CapExceeded, match="3 cover-search nodes"):
+            eihom._quotient_cover(p3, 2)
 
 
 # each eihom search, one small input, its answer and the steps it charges

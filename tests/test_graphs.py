@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eicount import graphs
 from eicount.config import CapExceeded
 from eicount.graphs import (Graph, bfs_layers, bits, isolated_parts,
                             line_graph, make_pattern, minimum_vertex_cover,
@@ -52,6 +53,15 @@ class TestMasks:
 
 
 class TestGraph:
+    def test_small_edges_are_shared(self):
+        # graphs share the one tuple of each pair of ids below 64, so many
+        # small patterns hold no tuple per edge; larger ids are not kept
+        a, b = Graph(3, [(0, 1), (2, 1)]), Graph(4, [(1, 2), (1, 0)])
+        assert a.edges == b.edges == ((0, 1), (1, 2))
+        assert all(x is y for x, y in zip(a.edges, b.edges))
+        big = Graph(70, [(69, 3)])
+        assert big.edges == ((3, 69),) and (3, 69) not in graphs._PAIRS
+
     def test_negative_vertex_count(self):
         with pytest.raises(ValueError, match="negative vertex count -3"):
             Graph(-3, [])
